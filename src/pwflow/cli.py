@@ -440,10 +440,10 @@ def run_eval(result_dir: Path, gt_dir: Path, out_dir: Path) -> list:
             raise GridShapeError(f"frame {idx}: mask dimensions differ")
         row = {"frame": idx, "dice": dice(got, want, label=1)}
         try:
-            row["apd"] = apd(contours_from_mask(got == 1),
-                             contours_from_mask(want == 1))
-            row["hd"] = hausdorff(contours_from_mask(got == 1),
-                                  contours_from_mask(want == 1))
+            got_contours = contours_from_mask(got == 1)
+            want_contours = contours_from_mask(want == 1)
+            row["apd"] = apd(got_contours, want_contours)
+            row["hd"] = hausdorff(got_contours, want_contours)
         except ValueError:
             row["apd"] = math.nan
             row["hd"] = math.nan

@@ -35,6 +35,7 @@ from .grid import (
     RegionPartition,
     gradient_region_aware,
     normals_from_levelset,
+    project_normal,
     require_same_shape,
 )
 
@@ -171,6 +172,18 @@ def _ghost_coefficients(mode: str, alpha_a, alpha_b, beta):
     return zero, zero
 
 
+def _ghost_values(mode: str, v_in_at_x, v_out_at_y, normal, cfg: SolverConfig):
+    v_in = np.asarray(v_in_at_x, dtype=np.float64)
+    v_out = np.asarray(v_out_at_y, dtype=np.float64)
+    pn = project_normal(v_out - v_in, normal)
+    if mode == "soft":
+        if cfg.beta <= 0:
+            raise ConfigError("soft ghost values require beta > 0")
+        _check_soft_denominator(cfg.beta, cfg.alpha_in, cfg.alpha_out)
+    c, d = _ghost_coefficients(mode, cfg.alpha_in, cfg.alpha_out, cfg.beta)
+    return v_in + c * pn, v_out - d * pn
+
+
 def ghost_values_hard(v_in_at_x, v_out_at_y, normal, cfg: SolverConfig):
     """Cross-interface ghost values under the exact normal-matching condition.
 
@@ -178,13 +191,7 @@ def ghost_values_hard(v_in_at_x, v_out_at_y, normal, cfg: SolverConfig):
     component (a weighted average of the two sides); tangential components
     are copied from the same-side known value.
     """
-    v_in = np.asarray(v_in_at_x, dtype=np.float64)
-    v_out = np.asarray(v_out_at_y, dtype=np.float64)
-    n = np.asarray(normal, dtype=np.float64)
-    _require_unit(n)
-    c, d = _ghost_coefficients("hard", cfg.alpha_in, cfg.alpha_out, cfg.beta)
-    pn = ((v_out - v_in) * n).sum(axis=-1, keepdims=True) * n
-    return v_in + c * pn, v_out - d * pn
+    return _ghost_values("hard", v_in_at_x, v_out_at_y, normal, cfg)
 
 
 def ghost_values_soft(v_in_at_x, v_out_at_y, normal, cfg: SolverConfig):
@@ -193,22 +200,31 @@ def ghost_values_soft(v_in_at_x, v_out_at_y, normal, cfg: SolverConfig):
     Returns ``(v_in_at_y, v_out_at_x)`` evaluated from the closed-form
     elimination of the penalised interface conditions.
     """
-    v_in = np.asarray(v_in_at_x, dtype=np.float64)
-    v_out = np.asarray(v_out_at_y, dtype=np.float64)
-    n = np.asarray(normal, dtype=np.float64)
-    _require_unit(n)
-    if cfg.beta <= 0:
-        raise ConfigError("soft ghost values require beta > 0")
-    _check_soft_denominator(cfg.beta, cfg.alpha_in, cfg.alpha_out)
-    c, d = _ghost_coefficients("soft", cfg.alpha_in, cfg.alpha_out, cfg.beta)
-    pn = ((v_out - v_in) * n).sum(axis=-1, keepdims=True) * n
-    return v_in + c * pn, v_out - d * pn
+    return _ghost_values("soft", v_in_at_x, v_out_at_y, normal, cfg)
 
 
-def _require_unit(n):
-    length = np.sqrt((n * n).sum(axis=-1))
-    if np.any(np.abs(length - 1.0) > 1e-6):
-        raise ValueError("normal must have unit length")
+def _region_alphas(partition: RegionPartition, cfg: SolverConfig):
+    """Effective labels and smoothing weights of the configured mode.
+
+    ``global`` mode smooths one region (label 0 everywhere) with weight
+    ``alpha_in``; every other mode weights each label by
+    :meth:`SolverConfig.label_alphas`.  Returns ``(labels, alpha_map,
+    alpha_a, alpha_b)``: the effective label raster, the per-pixel weight,
+    and the weights of the two sides of each interface pair.
+    """
+    if cfg.mode == "global":
+        labels = np.zeros_like(partition.labels)
+        alphas = np.array([cfg.alpha_in], dtype=np.float64)
+    else:
+        labels = partition.labels
+        alphas = cfg.label_alphas(int(labels.max()) + 1)
+    flat = labels.ravel()
+    return (
+        labels,
+        alphas[labels],
+        alphas[flat[partition.pair_a]],
+        alphas[flat[partition.pair_b]],
+    )
 
 
 class MotionOperator:
@@ -229,17 +245,10 @@ class MotionOperator:
         self.shape = image.shape
         h, w = image.shape
 
-        labels = partition.labels
-        if cfg.mode == "global":
-            labels_eff = np.zeros((h, w), dtype=np.int32)
-            self.alpha_map = np.full((h, w), cfg.alpha_in, dtype=np.float64)
-        else:
-            labels_eff = labels
-            alphas = cfg.label_alphas(int(labels.max()) + 1)
-            self.alpha_map = alphas[labels_eff]
-        self.labels_eff = labels_eff
-
-        self.gradient = gradient_region_aware(image, labels_eff)
+        self.labels_eff, self.alpha_map, self._alpha_a, self._alpha_b = (
+            _region_alphas(partition, cfg)
+        )
+        self.gradient = gradient_region_aware(image, self.labels_eff)
 
         # full 4-neighbour degree; cross-label pairs are corrected per pair
         deg = np.full((h, w), 4.0)
@@ -260,9 +269,6 @@ class MotionOperator:
         else:
             self.pair_normals = partition.normals
         if self.pair_a.shape[0]:
-            alphas = cfg.label_alphas(int(labels.max()) + 1)
-            self._alpha_a = alphas[partition.label_a]
-            self._alpha_b = alphas[partition.label_b]
             if cfg.mode in ("hard", "soft"):
                 if cfg.mode == "soft":
                     _check_soft_denominator(cfg.beta, self._alpha_a, self._alpha_b)
@@ -451,14 +457,7 @@ def energy(velocity: PiecewiseVelocity, image, next_image, cfg: SolverConfig) ->
     require_same_shape(image, next_image, part.labels)
     v = velocity.field
 
-    if cfg.mode == "global":
-        labels_eff = np.zeros_like(part.labels)
-        alpha_map = np.full(image.shape, cfg.alpha_in, dtype=np.float64)
-    else:
-        labels_eff = part.labels
-        alphas = cfg.label_alphas(int(part.labels.max()) + 1)
-        alpha_map = alphas[labels_eff]
-
+    labels_eff, alpha_map, _, _ = _region_alphas(part, cfg)
     g = gradient_region_aware(image, labels_eff)
     resid = next_image - image + (g * v).sum(axis=-1)
     total = 0.5 * float((resid**2).sum())

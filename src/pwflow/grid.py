@@ -145,73 +145,23 @@ def identity_map(height: int, width: int) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Exact Euclidean distance transform (two-pass lower-envelope method)
-# ---------------------------------------------------------------------------
-
-
-def _edt_squared_1d(f: np.ndarray) -> np.ndarray:
-    """1D squared-distance transform: min_j (f[j] + (i - j)^2) for each i."""
-    n = f.shape[0]
-    d = np.empty(n, dtype=np.float64)
-    v = np.zeros(n, dtype=np.int64)
-    z = np.empty(n + 1, dtype=np.float64)
-    k = 0
-    z[0] = -np.inf
-    z[1] = np.inf
-    for q in range(1, n):
-        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2.0 * q - 2.0 * v[k])
-        while s <= z[k]:
-            k -= 1
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2.0 * q - 2.0 * v[k])
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
-    return d
-
-
-def _distance_squared(sites: np.ndarray) -> np.ndarray:
-    """Exact squared Euclidean distance to the nearest True pixel centre."""
-    h, w = sites.shape
-    big = float(h + w + 1)
-    col = np.where(sites, 0.0, big)
-    for i in range(1, h):
-        col[i] = np.minimum(col[i], col[i - 1] + 1.0)
-    for i in range(h - 2, -1, -1):
-        col[i] = np.minimum(col[i], col[i + 1] + 1.0)
-    colsq = col * col
-    out = np.empty((h, w), dtype=np.float64)
-    for i in range(h):
-        out[i] = _edt_squared_1d(colsq[i])
-    return out
-
-
 def signed_distance(mask) -> np.ndarray:
     """Signed Euclidean distance to the region boundary, negative inside.
 
     The boundary is taken as the midpoints between opposite-label 4-neighbour
     pairs, so adjacent pixels straddling it carry -0.5 / +0.5 and the
     discrete gradient stays near unit magnitude right through the interface.
-    Built from the exact two-pass pixel-centre distance transform followed by
-    a redistancing against those midpoints, which removes the staircase
-    wiggle the raw pixel-centre distances show along diagonal boundaries.
+    Each pixel's value is its distance to the nearest such midpoint, which
+    avoids the staircase wiggle pixel-centre distances show along diagonal
+    boundaries.
     """
     mask = np.asarray(mask, dtype=bool)
     count = int(mask.sum())
     if count == 0 or count == mask.size:
         raise ValueError("region must be non-empty and not cover the whole grid")
-    d_out = np.sqrt(_distance_squared(mask))
-    d_in = np.sqrt(_distance_squared(~mask))
-    base = np.where(mask, 0.5 - d_in, d_out - 0.5)
-    # every sign-change pair is exactly (-0.5, +0.5), so the crossings are
-    # the pair midpoints
-    pts = zero_crossing_points(base)
+    w = mask.shape[1]
+    a, b = _interface_pairs(mask)
+    pts = np.stack([(a % w + b % w) / 2.0, (a // w + b // w) / 2.0], axis=1)
     d = _min_distance_to_points(mask.shape, pts)
     return np.where(mask, -d, d)
 
@@ -336,8 +286,10 @@ class RegionPartition:
 
     Interface pairs are 4-adjacent pixel pairs with differing labels; each
     appears exactly once, ordered with the left/top pixel first.  Normals
-    are derived from a level-set function when one is supplied, otherwise
-    from the signed distance of the structure side of each pair.
+    are derived from a level-set function when one is supplied (computed at
+    construction, so the partition keeps no reference to the caller's
+    array), otherwise from the signed distance of the structure side of each
+    pair, computed on the first read of :attr:`normals`.
     """
 
     def __init__(self, labels, psi=None):
@@ -356,7 +308,18 @@ class RegionPartition:
         flat = self.labels.ravel()
         self.label_a = flat[pa]
         self.label_b = flat[pb]
-        self.normals = self._compute_normals(psi)
+        self._normals = None
+        if psi is not None:
+            psi = np.asarray(psi, dtype=np.float64)
+            require_same_shape(self.labels, psi)
+            self._normals = normals_from_levelset(psi, self.pairs)
+
+    @property
+    def normals(self) -> np.ndarray:
+        """Unit interface normals, one row per pair."""
+        if self._normals is None:
+            self._normals = self._structure_normals()
+        return self._normals
 
     @property
     def pairs(self) -> np.ndarray:
@@ -380,13 +343,7 @@ class RegionPartition:
     def signed_distance(self, label: int) -> np.ndarray:
         return signed_distance(self.labels == label)
 
-    def _compute_normals(self, psi) -> np.ndarray:
-        if self.num_pairs == 0:
-            return np.zeros((0, 2), dtype=np.float64)
-        if psi is not None:
-            psi = np.asarray(psi, dtype=np.float64)
-            require_same_shape(self.labels, psi)
-            return normals_from_levelset(psi, self.pairs)
+    def _structure_normals(self) -> np.ndarray:
         # No level set supplied: use the structure side's own signed distance,
         # choosing the lower positive label when two structures meet.
         la = self.label_a

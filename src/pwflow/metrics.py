@@ -8,7 +8,12 @@ ground truth are measured the same way.
 import numpy as np
 
 from .errors import GridShapeError
-from .flow import PiecewiseVelocity, SolverConfig, _ghost_coefficients
+from .flow import (
+    PiecewiseVelocity,
+    SolverConfig,
+    _ghost_coefficients,
+    _region_alphas,
+)
 from .grid import normals_from_levelset, require_same_shape, signed_distance
 
 __all__ = [
@@ -264,9 +269,7 @@ def _pair_quantities(velocity: PiecewiseVelocity, cfg: SolverConfig, psi=None):
         normals = normals_from_levelset(psi, part.pairs)
     else:
         normals = part.normals
-    alphas = cfg.label_alphas(int(part.labels.max()) + 1)
-    aa = alphas[part.label_a]
-    ab = alphas[part.label_b]
+    _, _, aa, ab = _region_alphas(part, cfg)
     flat = velocity.field.reshape(-1, 2)
     va = flat[part.pair_a]
     vb = flat[part.pair_b]

@@ -118,20 +118,26 @@ def _advect_scalar(u: np.ndarray, vx: np.ndarray, vy: np.ndarray, dt: float):
     return u - dt * (vx * dudx + vy * dudy)
 
 
+def _cfl_substeps(v: np.ndarray, dt: float) -> tuple:
+    """Equal sub-steps ``(n_sub, sub_dt)`` keeping ``sub_dt * max|v|`` within
+    the CFL limit, ``|v|`` being the Euclidean speed per pixel."""
+    vmax = float(np.sqrt((v**2).sum(axis=-1)).max()) if v.size else 0.0
+    n_sub = max(1, int(math.ceil(dt * vmax / CFL_LIMIT - 1e-12)))
+    return n_sub, dt / n_sub
+
+
 def transport_step(field, velocity, dt: float):
     """First-order upwind advection of a scalar or vector field.
 
     The upwind side follows the sign of each velocity component.  When
-    ``dt * max|v|`` exceeds the CFL limit the step is split into equal
-    sub-steps, keeping the update monotone.
+    ``dt * max|v|`` (Euclidean speed) exceeds the CFL limit the step is split
+    into equal sub-steps, keeping the update monotone.
     """
     field = np.asarray(field, dtype=np.float64)
     v = velocity.field if isinstance(velocity, PiecewiseVelocity) else velocity
     v = np.asarray(v, dtype=np.float64)
     require_same_shape(field, v)
-    vmax = float(np.abs(v).max()) if v.size else 0.0
-    n_sub = max(1, int(math.ceil(dt * vmax / CFL_LIMIT - 1e-12)))
-    sub_dt = dt / n_sub
+    n_sub, sub_dt = _cfl_substeps(v, dt)
     vx = v[..., 0]
     vy = v[..., 1]
     out = field
@@ -245,7 +251,7 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
     psis = {lab: signed_distance(region.labels == lab) for lab in struct_labels}
     backward_map = identity_map(h, w)
     current = image0
-    frac_prev = region_area_fractions(_union_psi(psis))
+    union_prev = _union_psi(psis)
 
     residual_trace = [float(np.abs(current - image1).mean())]
     diagnostics = []
@@ -264,9 +270,7 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
         solve = solve_infinitesimal(current, image1, partition, union, cfg.solver)
         v = solve.velocity.field
 
-        vmax = float(np.sqrt((v**2).sum(axis=-1)).max()) if v.size else 0.0
-        n_sub = max(1, int(math.ceil(cfg.dt * vmax / CFL_LIMIT - 1e-12)))
-        sub_dt = cfg.dt / n_sub
+        n_sub, sub_dt = _cfl_substeps(v, cfg.dt)
         for _ in range(n_sub):
             backward_map = transport_step(backward_map, v, sub_dt)
             for lab in struct_labels:
@@ -275,7 +279,7 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
                     advected = topology_guard(psis[lab], advected)
                 psis[lab] = advected
         backward_map = _clamp_map(backward_map, (h, w))
-        frac_now = region_area_fractions(_union_psi(psis))
+        union_now = _union_psi(psis)
 
         if it % cfg.reinit_every == 0:
             for lab in struct_labels:
@@ -300,8 +304,8 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
             )
         )
 
-        sym_diff = float(np.abs(frac_now - frac_prev).sum())
-        frac_prev = frac_now
+        sym_diff = region_symmetric_difference(union_prev, union_now)
+        union_prev = union_now
         if sym_diff < cfg.converge_tol:
             streak += 1
             if streak >= 3:

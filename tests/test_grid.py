@@ -134,19 +134,25 @@ def test_signed_distance_rejects_empty_and_full():
         pw.signed_distance(np.ones((5, 5), bool))
 
 
-def test_distance_transform_matches_brute_force():
-    from pwflow.grid import _distance_squared
-
+def test_signed_distance_matches_brute_force_midpoint_distance():
     rng = np.random.default_rng(7)
+    checked = 0
     for _ in range(25):
         h, w = rng.integers(2, 15, 2)
-        sites = rng.random((h, w)) < 0.2
-        if not sites.any():
+        mask = rng.random((h, w)) < 0.3
+        if not 0 < mask.sum() < mask.size:
             continue
-        ys, xs = np.nonzero(sites)
+        # midpoints of every opposite-label 4-neighbour pair
+        rh, ch = np.nonzero(mask[:, :-1] != mask[:, 1:])
+        rv, cv = np.nonzero(mask[:-1, :] != mask[1:, :])
+        px = np.concatenate([ch + 0.5, cv.astype(float)])
+        py = np.concatenate([rh.astype(float), rv + 0.5])
         yy, xx = np.mgrid[0:h, 0:w]
-        brute = ((yy[..., None] - ys) ** 2 + (xx[..., None] - xs) ** 2).min(-1)
-        assert np.array_equal(_distance_squared(sites), brute.astype(float))
+        dist = np.sqrt(((xx[..., None] - px) ** 2 + (yy[..., None] - py) ** 2).min(-1))
+        expected = np.where(mask, -dist, dist)
+        assert np.array_equal(pw.signed_distance(mask), expected)
+        checked += 1
+    assert checked >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +193,23 @@ def test_normals_flat_levelset_falls_back_to_pair_axis():
     n = pw.normals_from_levelset(psi, part.pairs)
     assert np.allclose(np.abs(n[:, 0]), 1.0)
     assert np.allclose(n[:, 1], 0.0)
+
+
+def test_partition_normals_without_psi_come_from_structure_signed_distance():
+    mask = disc_mask(32, 16, 16, 7)
+    part = pw.RegionPartition(mask.astype(np.int32))
+    eager = pw.normals_from_levelset(pw.signed_distance(mask), part.pairs)
+    assert np.array_equal(part.normals, eager)
+    assert part.normals is part.normals  # computed once, on first read
+
+
+def test_partition_normals_from_psi_do_not_alias_the_level_set():
+    mask = disc_mask(32, 16, 16, 7)
+    psi = pw.signed_distance(mask)
+    part = pw.RegionPartition(mask.astype(np.int32), psi=psi)
+    before = part.normals.copy()
+    psi[:] = 0.0
+    assert np.array_equal(part.normals, before)
 
 
 def test_normals_unit_length():
