@@ -51,6 +51,11 @@ EXIT_NUMERIC = 4
 
 MANIFEST_NAME = "manifest.txt"
 MANIFEST_HEADER = "pwflow-manifest 1"
+# diag_*.tsv columns, one row per tracker iteration (cg_converged as 0/1)
+DIAG_COLUMNS = (
+    "iteration", "residual", "area", "normal_jump_max",
+    "components", "cg_iterations", "cg_converged",
+)
 
 # (type tag, default) per configurable key, grouped by subcommand.
 _SOLVER_SCHEMA = {
@@ -372,9 +377,12 @@ def _write_track_outputs(out_dir: Path, frame_idx: int, result) -> list:
                          identity_map(h, w) - result.backward_map)
     names.append(bdisp_name)
     diag_name = f"diag_{frame_idx:04d}.tsv"
-    rows = ["iteration\tresidual\tarea\tnormal_jump_max"]
+    rows = ["\t".join(DIAG_COLUMNS)]
     for d in result.diagnostics:
-        rows.append(f"{d.iteration}\t{d.residual!r}\t{d.area}\t{d.normal_jump_max!r}")
+        rows.append(
+            f"{d.iteration}\t{d.residual!r}\t{d.area}\t{d.normal_jump_max!r}"
+            f"\t{d.components}\t{d.cg_iterations}\t{int(d.cg_converged)}"
+        )
     (out_dir / diag_name).write_text("\n".join(rows) + "\n")
     names.append(diag_name)
     return names
@@ -463,7 +471,8 @@ def run_eval(result_dir: Path, gt_dir: Path, out_dir: Path) -> list:
         if diag_path.exists():
             lines = diag_path.read_text().strip().splitlines()
             if len(lines) > 1:
-                row["normal_jump_max"] = float(lines[-1].split("\t")[-1])
+                col = lines[0].split("\t").index("normal_jump_max")
+                row["normal_jump_max"] = float(lines[-1].split("\t")[col])
 
         rows.append(row)
         for k in header[1:]:

@@ -20,9 +20,13 @@ Modes:
                     homogeneous Neumann interface conditions (no coupling).
 
 Missing neighbours at the domain boundary contribute nothing.  All operators
-are applied matrix-free; the system is solved by plain conjugate gradient
-from a zero initial guess, which on singular-but-consistent systems returns
-the minimum-norm solution.
+are applied matrix-free, in stencil form: :class:`MotionOperator` keeps the
+data term as per-pixel ``g g^T`` entries, the smoothing as one weight per
+right and per down edge (zero across a label cut), and the interface
+coupling as a rank-1 normal term per cross-label pair, and applies them to
+the flat interleaved view of the ``(h, w, 2)`` field by shifted slices.  The
+system is solved by plain conjugate gradient from a zero initial guess,
+which on singular-but-consistent systems returns the minimum-norm solution.
 """
 
 import math
@@ -228,13 +232,32 @@ def _region_alphas(partition: RegionPartition, cfg: SolverConfig):
 
 
 class MotionOperator:
-    """Matrix-free application of the piecewise motion operator.
+    """Matrix-free application of the piecewise motion operator in stencil form.
 
     Per pixel the operator evaluates the negated within-region graph
     Laplacian weighted by the region's alpha, the cross-interface normal
     coupling term for the configured mode, and the image-gradient data term
-    ``g g^T v``.  Geometry, weights, and gradients are precomputed once so
-    repeated applications inside CG stay cheap.
+    ``g g^T v``.  Everything an application needs is precomputed as stencil
+    arrays over the flat, interleaved view of the ``(h, w, 2)`` field (entry
+    ``2 i + c`` is component ``c`` of pixel ``i = y w + x``):
+
+    * ``data_diag`` (``2hw``): ``g_x^2`` and ``g_y^2`` interleaved, and
+      ``data_cross`` (``hw``): ``g_x g_y``;
+    * ``weight_right`` / ``weight_down`` (``2hw``): the smoothing weight of
+      the edge from an entry to the same component one pixel right
+      (offset 2) or one row down (offset ``2w``).  It is the region's alpha
+      between same-label neighbours and 0 across a label cut, at a row end
+      and on the last row;
+    * the interface pairs ``pair_a``/``pair_b`` with their unit normals and
+      per-side couplings ``couple_a``/``couple_b`` (zero outside ``hard``
+      and ``soft``; the two differ when the sides' alphas do).  Pair ``(a,
+      b)`` adds ``-couple_a (n.d) n`` at ``a`` and ``+couple_b (n.d) n`` at
+      ``b`` with ``d = v(b) - v(a)``.
+
+    One application is then a few whole-array passes: an edge term is a
+    difference of two shifted views of the flat field, and the coupling is
+    scattered in two groups (horizontal pairs, then vertical ones), within
+    which no pixel repeats, so plain fancy-index updates are exact.
     """
 
     def __init__(self, image, partition: RegionPartition, cfg: SolverConfig, psi=None):
@@ -245,45 +268,75 @@ class MotionOperator:
         self.shape = image.shape
         h, w = image.shape
 
-        self.labels_eff, self.alpha_map, self._alpha_a, self._alpha_b = (
-            _region_alphas(partition, cfg)
+        self.labels_eff, self.alpha_map, alpha_a, alpha_b = _region_alphas(
+            partition, cfg
         )
         self.gradient = gradient_region_aware(image, self.labels_eff)
 
-        # full 4-neighbour degree; cross-label pairs are corrected per pair
-        deg = np.full((h, w), 4.0)
-        deg[0, :] -= 1.0
-        deg[-1, :] -= 1.0
-        deg[:, 0] -= 1.0
-        deg[:, -1] -= 1.0
-        self._weighted_degree = self.alpha_map * deg
+        # data term
+        self.data_diag = (self.gradient * self.gradient).reshape(-1)
+        self.data_cross = (self.gradient[..., 0] * self.gradient[..., 1]).reshape(-1)
 
-        self.pair_a = partition.pair_a
-        self.pair_b = partition.pair_b
+        # within-region smoothing, one weight per edge to the right / below
+        labels = self.labels_eff
+        right = np.zeros((h, w))
+        right[:, :-1] = np.where(
+            labels[:, :-1] == labels[:, 1:], self.alpha_map[:, :-1], 0.0
+        )
+        down = np.zeros((h, w))
+        down[:-1, :] = np.where(
+            labels[:-1, :] == labels[1:, :], self.alpha_map[:-1, :], 0.0
+        )
+        self.weight_right = np.repeat(right.reshape(-1), 2)
+        self.weight_down = np.repeat(down.reshape(-1), 2)
+        # (offset, weights of the edges leaving entries [0, 2hw - offset), buffer)
+        self._edges = [
+            (off, wt[:-off], np.empty(wt.size - off))
+            for off, wt in ((2, self.weight_right), (2 * w, self.weight_down))
+            if wt.any()
+        ]
+        self._cross_buf = np.empty(h * w)
+
+        # interface coupling
         if cfg.mode == "global":
-            # one region: no pair corrections at all
+            # one region: no interface pairs at all
             self.pair_a = np.zeros(0, dtype=np.int64)
             self.pair_b = np.zeros(0, dtype=np.int64)
+        else:
+            self.pair_a = partition.pair_a
+            self.pair_b = partition.pair_b
         if psi is not None and cfg.mode in ("hard", "soft"):
             self.pair_normals = normals_from_levelset(psi, partition.pairs)
         else:
             self.pair_normals = partition.normals
-        if self.pair_a.shape[0]:
-            if cfg.mode in ("hard", "soft"):
-                if cfg.mode == "soft":
-                    _check_soft_denominator(cfg.beta, self._alpha_a, self._alpha_b)
-                c_ext, d_ext = _ghost_coefficients(
-                    cfg.mode, self._alpha_a, self._alpha_b, cfg.beta
-                )
-                self.couple_a = self._alpha_a * c_ext
-                self.couple_b = self._alpha_b * d_ext
-            else:
-                self.couple_a = np.zeros_like(self._alpha_a)
-                self.couple_b = np.zeros_like(self._alpha_b)
+        if cfg.mode in ("hard", "soft"):
+            if cfg.mode == "soft":
+                _check_soft_denominator(cfg.beta, alpha_a, alpha_b)
+            c_ext, d_ext = _ghost_coefficients(cfg.mode, alpha_a, alpha_b, cfg.beta)
+            self.couple_a = alpha_a * c_ext
+            self.couple_b = alpha_b * d_ext
+        else:
+            self.couple_a = np.zeros(self.pair_a.shape[0])
+            self.couple_b = np.zeros(self.pair_a.shape[0])
 
-        # scratch buffers reused across CG applications
-        self._nbr_buf = np.empty((h, w, 2), dtype=np.float64)
-        self._data_buf = np.empty((h, w), dtype=np.float64)
+        # (pairs, normals, couple * normal per side, scatter groups), or None
+        # when no pair couples
+        self._coupling = None
+        if cfg.mode in ("hard", "soft") and self.pair_a.shape[0]:
+            pa, pb = self.pair_a, self.pair_b
+            horiz = pa // w == pb // w
+            order = np.argsort(~horiz, kind="stable")
+            k = int(horiz.sum())
+            pa, pb = pa[order], pb[order]
+            normals = self.pair_normals[order]
+            self._coupling = (
+                pa,
+                pb,
+                normals,
+                self.couple_a[order, None] * normals,
+                self.couple_b[order, None] * normals,
+                ((pa[:k], pb[:k], slice(0, k)), (pa[k:], pb[k:], slice(k, None))),
+            )
 
     @property
     def pair_touch_count(self) -> int:
@@ -292,47 +345,41 @@ class MotionOperator:
         return h * (w - 1) + (h - 1) * w
 
     def __call__(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        h, w = self.shape
-        v = np.asarray(v, dtype=np.float64)
+        v = np.ascontiguousarray(v, dtype=np.float64)
         if out is None:
             out = np.empty_like(v)
+        elif not out.flags.c_contiguous:
+            raise ValueError("out must be C-contiguous")
+        f = v.reshape(-1)
+        o = out.reshape(-1)
 
-        np.multiply(self._weighted_degree[..., None], v, out=out)
-        buf = self._nbr_buf
-        buf.fill(0.0)
-        buf[:, :-1] += v[:, 1:]
-        buf[:, 1:] += v[:, :-1]
-        buf[:-1, :] += v[1:, :]
-        buf[1:, :] += v[:-1, :]
-        buf *= self.alpha_map[..., None]
-        out -= buf
+        # data term g g^T v
+        np.multiply(self.data_diag, f, out=o)
+        cross = self._cross_buf
+        np.multiply(self.data_cross, f[1::2], out=cross)
+        o[0::2] += cross
+        np.multiply(self.data_cross, f[0::2], out=cross)
+        o[1::2] += cross
 
-        if self.pair_a.shape[0]:
-            flat = v.reshape(-1, 2)
-            d = flat[self.pair_b] - flat[self.pair_a]
-            # undo the uniform Laplacian across the pair, then add the
-            # normal-coupling term eliminated from the interface condition
-            dn = (d * self.pair_normals).sum(axis=1)
-            adj_a = self._alpha_a[:, None] * d
-            adj_b = self._alpha_b[:, None] * d
-            adj_a -= (self.couple_a * dn)[:, None] * self.pair_normals
-            adj_b -= (self.couple_b * dn)[:, None] * self.pair_normals
-            out_flat = out.reshape(-1, 2)
-            size = h * w
-            for comp in (0, 1):
-                out_flat[:, comp] += np.bincount(
-                    self.pair_a, weights=adj_a[:, comp], minlength=size
-                )
-                out_flat[:, comp] -= np.bincount(
-                    self.pair_b, weights=adj_b[:, comp], minlength=size
-                )
+        # smoothing: weight * (v(i) - v(j)) at both ends of every edge
+        for off, weight, buf in self._edges:
+            np.subtract(f[off:], f[:-off], out=buf)
+            buf *= weight
+            o[:-off] -= buf
+            o[off:] += buf
 
-        g = self.gradient
-        tmp = self._data_buf
-        np.multiply(g[..., 0], v[..., 0], out=tmp)
-        tmp += g[..., 1] * v[..., 1]
-        out[..., 0] += g[..., 0] * tmp
-        out[..., 1] += g[..., 1] * tmp
+        # normal coupling across interface pairs
+        if self._coupling is not None:
+            pa, pb, normals, ca_n, cb_n, groups = self._coupling
+            f2 = f.reshape(-1, 2)
+            o2 = o.reshape(-1, 2)
+            d = f2[pb] - f2[pa]
+            dn = (d * normals).sum(axis=1)[:, None]
+            add_a = dn * ca_n
+            add_b = dn * cb_n
+            for ga, gb, sel in groups:
+                o2[ga] -= add_a[sel]
+                o2[gb] += add_b[sel]
         return out
 
 

@@ -199,19 +199,26 @@ def zero_crossing_points(psi) -> np.ndarray:
     return np.concatenate(pts, axis=0)
 
 
+# points per chunk of _min_distance_to_points
+_POINT_CHUNK = 2048
+
+
 def _min_distance_to_points(shape, pts: np.ndarray) -> np.ndarray:
+    """Euclidean distance from every pixel centre to the nearest point.
+
+    Squared axis offsets are tabulated once per column (``(w, M)``) and per
+    row (``(h, M)``); each row's distances are then one ``(w, M)`` sum and
+    minimum.  Points go in chunks, which bounds the tables' memory.
+    """
     h, w = shape
-    xs = np.arange(w, dtype=np.float64)
-    ys = np.arange(h, dtype=np.float64)
-    gx = np.broadcast_to(xs[None, :], (h, w))
-    gy = np.broadcast_to(ys[:, None], (h, w))
+    xs = np.arange(w, dtype=np.float64)[:, None]
+    ys = np.arange(h, dtype=np.float64)[:, None]
     best = np.full((h, w), np.inf)
-    # chunk over points to bound peak memory
-    for s in range(0, pts.shape[0], 256):
-        px = pts[s : s + 256, 0]
-        py = pts[s : s + 256, 1]
-        d2 = (gx[..., None] - px) ** 2 + (gy[..., None] - py) ** 2
-        best = np.minimum(best, d2.min(axis=-1))
+    for s in range(0, pts.shape[0], _POINT_CHUNK):
+        dx2 = (xs - pts[s : s + _POINT_CHUNK, 0]) ** 2
+        dy2 = (ys - pts[s : s + _POINT_CHUNK, 1]) ** 2
+        for y in range(h):
+            np.minimum(best[y], np.min(dx2 + dy2[y], axis=1), out=best[y])
     return np.sqrt(best)
 
 
@@ -243,7 +250,9 @@ def normals_from_levelset(psi, pairs) -> np.ndarray:
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     if pairs.shape[0] == 0:
         return np.zeros((0, 2), dtype=np.float64)
-    gy, gx = np.gradient(psi)
+    # an axis with a single sample has no derivative along it
+    gx = np.gradient(psi, axis=1) if w > 1 else np.zeros_like(psi)
+    gy = np.gradient(psi, axis=0) if h > 1 else np.zeros_like(psi)
     g = np.stack([gx, gy], axis=-1).reshape(-1, 2)
     a = pairs[:, 0]
     b = pairs[:, 1]

@@ -67,13 +67,20 @@ class TrackConfig:
 
 @dataclass
 class IterationDiagnostics:
-    """One row of the per-iteration diagnostics table."""
+    """One row of the per-iteration diagnostics table.
+
+    ``cg_iterations`` and ``cg_converged`` come from the iteration's
+    velocity solve; ``components`` counts the 8-connected components of the
+    tracked region after the iteration.
+    """
 
     iteration: int
     residual: float
     area: int
     normal_jump_max: float
     components: int = 0
+    cg_iterations: int = 0
+    cg_converged: bool = True
 
 
 @dataclass
@@ -301,6 +308,8 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
                 area=int((labels_now > 0).sum()),
                 normal_jump_max=jump_max,
                 components=count_components(labels_now > 0),
+                cg_iterations=solve.iterations,
+                cg_converged=solve.converged,
             )
         )
 

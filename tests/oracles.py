@@ -38,6 +38,34 @@ def random_blob_instance(rng, side):
     return image, labels, velocity
 
 
+def flood_fill_label_components(mask, connectivity):
+    """Connected components by flood fill from each unlabelled foreground
+    pixel in raster order; ``(labels, count)``, 1-based."""
+    mask = np.asarray(mask, dtype=bool)
+    h, w = mask.shape
+    if connectivity == 8:
+        offsets = [(dy, dx) for dy in (-1, 0, 1) for dx in (-1, 0, 1) if dy or dx]
+    else:
+        offsets = [(-1, 0), (0, -1), (0, 1), (1, 0)]
+    labels = np.zeros((h, w), dtype=np.int32)
+    count = 0
+    for y in range(h):
+        for x in range(w):
+            if not mask[y, x] or labels[y, x]:
+                continue
+            count += 1
+            labels[y, x] = count
+            stack = [(y, x)]
+            while stack:
+                cy, cx = stack.pop()
+                for dy, dx in offsets:
+                    yy, xx = cy + dy, cx + dx
+                    if 0 <= yy < h and 0 <= xx < w and mask[yy, xx] and not labels[yy, xx]:
+                        labels[yy, xx] = count
+                        stack.append((yy, xx))
+    return labels, count
+
+
 def dense_operator_matrix(image, partition, cfg):
     """Entry-by-entry dense assembly of the motion operator.
 

@@ -203,8 +203,17 @@ def test_track_identical_frames_keeps_mask(tmp_path):
         assert (out / f"bmap_{t:04d}.fgrid").exists()
         assert (out / f"diag_{t:04d}.tsv").exists()
     diag = (out / "diag_0001.tsv").read_text().splitlines()
-    assert diag[0] == "iteration\tresidual\tarea\tnormal_jump_max"
+    assert diag[0] == (
+        "iteration\tresidual\tarea\tnormal_jump_max"
+        "\tcomponents\tcg_iterations\tcg_converged"
+    )
     assert len(diag) >= 2
+    for line in diag[1:]:
+        cells = line.split("\t")
+        assert len(cells) == 7
+        assert int(cells[4]) == 1  # one tracked disc
+        # identical frames: zero right-hand side, solved in zero CG steps
+        assert cells[5:] == ["0", "1"]
 
 
 def test_track_and_eval_on_synthetic_sequence(tmp_path, capsys):
@@ -226,6 +235,25 @@ def test_track_and_eval_on_synthetic_sequence(tmp_path, capsys):
         assert float(row[1]) >= 0.9  # dice against ground truth
         assert float(row[2]) <= 1.0  # apd in pixels
         assert np.isfinite(float(row[4]))  # ee_mean from bdisp vs gt_bflow
+
+
+def test_eval_reads_normal_jump_by_column_name(tmp_path):
+    data = make_synth_dir(tmp_path)
+    res = tmp_path / "res"
+    res.mkdir()
+    for t in (1, 2):
+        mask = rasterio.read_pgm(data / f"gt_mask_{t:04d}.pgm")
+        rasterio.write_pgm(res / f"mask_{t:04d}.pgm", mask, 255)
+        # normal_jump_max is not the last column
+        (res / f"diag_{t:04d}.tsv").write_text(
+            "iteration\tnormal_jump_max\tcomponents\n"
+            f"1\t0.5\t1\n2\t0.{t}25\t1\n"
+        )
+    eval_out = tmp_path / "evalout"
+    assert run_cli("eval", res, data, "--out", eval_out) == EXIT_OK
+    table = (eval_out / "eval.tsv").read_text().splitlines()
+    col = table[0].split("\t").index("normal_jump_max")
+    assert [float(row.split("\t")[col]) for row in table[1:3]] == [0.125, 0.225]
 
 
 def test_eval_identical_masks_perfect_scores(tmp_path):

@@ -200,6 +200,69 @@ def test_operator_multi_label_matches_dense_oracle():
         assert np.abs(out - want).max() <= 1e-10
 
 
+def _assert_matches_dense(image, labels, cfg, v):
+    part = pw.RegionPartition(labels)
+    out = pw.apply_operator(pw.PiecewiseVelocity(v, part), image, cfg)
+    mat = dense_operator_matrix(image, part, cfg)
+    want = (mat @ v.reshape(-1)).reshape(v.shape)
+    assert np.abs(out - want).max() <= 1e-10
+
+
+def test_operator_soft_unequal_alphas_matches_dense_oracle():
+    # the two sides' couplings differ: a_i b (b - a_o) vs a_o b (b - a_i)
+    rng = np.random.default_rng(91)
+    for _ in range(12):
+        image, labels, v = random_two_region_instance(rng)
+        a_in, a_out = rng.uniform(0.3, 5.0, 2)
+        cfg = pw.SolverConfig(
+            alpha_in=float(a_in), alpha_out=float(a_out) * 1.7,
+            beta=float(rng.uniform(7.0, 60.0)), mode="soft",
+        )
+        _assert_matches_dense(image, labels, cfg, v)
+
+
+@pytest.mark.parametrize("mode", pw.MODES)
+@pytest.mark.parametrize("transpose", [False, True], ids=["1xW", "Hx1"])
+def test_operator_single_row_or_column_matches_dense_oracle(mode, transpose):
+    rng = np.random.default_rng(17 + transpose)
+    for _ in range(8):
+        n = int(rng.integers(2, 12))
+        labels = rng.integers(0, 2, (1, n)).astype(np.int32)
+        labels[0, rng.integers(1, n)] = 1 - labels[0, 0]  # both labels present
+        image = rng.random((1, n))
+        v = rng.standard_normal((1, n, 2))
+        if transpose:
+            labels, image = labels.T.copy(), image.T.copy()
+            v = v.transpose(1, 0, 2).copy()
+        cfg = pw.SolverConfig(
+            alpha_in=float(rng.uniform(0.3, 5.0)), alpha_out=float(rng.uniform(0.3, 5.0)),
+            beta=float(rng.uniform(7.0, 60.0)), mode=mode,
+        )
+        _assert_matches_dense(image, labels, cfg, v)
+
+
+@pytest.mark.parametrize("mode", ["hard", "soft"])
+def test_operator_pixel_in_horizontal_and_vertical_pairs_matches_dense_oracle(mode):
+    # pixel (1, 1) is the left/top end of a horizontal and a vertical pair
+    # (both with label 2) and the right/bottom end of two pairs with label 0
+    labels = np.array(
+        [[0, 0, 0, 1],
+         [0, 1, 2, 2],
+         [0, 2, 2, 1],
+         [1, 1, 0, 0]], dtype=np.int32,
+    )
+    part = pw.RegionPartition(labels)
+    pairs = set(map(tuple, part.pairs.tolist()))
+    assert {(5, 6), (5, 9), (4, 5), (1, 5)} <= pairs
+    rng = np.random.default_rng(5)
+    cfg = pw.SolverConfig(
+        alpha_in=1.7, alpha_out=0.6, beta=25.0, mode=mode,
+        alpha_per_label=(0.6, 1.7, 3.1),
+    )
+    for _ in range(5):
+        _assert_matches_dense(rng.random((4, 4)), labels, cfg, rng.standard_normal((4, 4, 2)))
+
+
 @pytest.mark.parametrize("mode", pw.MODES)
 def test_operator_symmetric(mode):
     rng = np.random.default_rng(13)

@@ -322,6 +322,35 @@ def test_partition_rejects_negative_labels():
         pw.RegionPartition(np.array([[0, -1]], dtype=np.int32))
 
 
+def test_reinitialize_matches_brute_force_crossing_distance():
+    rng = np.random.default_rng(12)
+    for _ in range(30):
+        h, w = rng.integers(1, 16, 2)
+        psi = rng.standard_normal((h, w)) + rng.uniform(-1.0, 1.0)
+        psi[rng.random((h, w)) < 0.05] = 0.0
+        # linearly interpolated crossings along every grid edge, plus exact zeros
+        pts = [(float(x), float(y)) for y in range(h) for x in range(w) if psi[y, x] == 0.0]
+        for y in range(h):
+            for x in range(w - 1):
+                a, b = psi[y, x], psi[y, x + 1]
+                if a * b < 0.0:
+                    pts.append((x + a / (a - b), float(y)))
+        for y in range(h - 1):
+            for x in range(w):
+                a, b = psi[y, x], psi[y + 1, x]
+                if a * b < 0.0:
+                    pts.append((float(x), y + a / (a - b)))
+        if not pts:
+            with pytest.raises(ValueError):
+                pw.reinitialize_signed_distance(psi)
+            continue
+        px, py = np.array(pts).T
+        yy, xx = np.mgrid[0:h, 0:w]
+        dist = np.sqrt(((xx[..., None] - px) ** 2 + (yy[..., None] - py) ** 2).min(-1))
+        expected = np.where(psi <= 0.0, -dist, dist)
+        assert np.array_equal(pw.reinitialize_signed_distance(psi), expected)
+
+
 def test_reinitialize_preserves_zero_crossings_and_signs():
     mask = disc_mask(48, 24, 24, 9)
     psi = pw.signed_distance(mask) + 0.2  # perturb away from distance property

@@ -1,6 +1,7 @@
 """Digital topology: simple points, components, holes, and the guard."""
 
 import numpy as np
+import pytest
 
 import pwflow as pw
 from pwflow.topology import (
@@ -8,7 +9,10 @@ from pwflow.topology import (
     count_holes,
     euler_characteristic,
     is_simple_point,
+    label_components,
 )
+
+from oracles import flood_fill_label_components
 
 
 def test_isolated_pixel_is_not_simple():
@@ -55,6 +59,35 @@ def test_component_and_hole_counting():
     assert count_components(ring, 8) == 1
     assert count_holes(ring) == 1
     assert euler_characteristic(ring) == 0
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_label_components_matches_flood_fill_oracle(connectivity):
+    rng = np.random.default_rng(connectivity)
+    for _ in range(150):
+        h, w = rng.integers(1, 25, 2)
+        mask = rng.random((h, w)) < rng.uniform(0.05, 0.95)
+        labels, count = label_components(mask, connectivity)
+        want_labels, want_count = flood_fill_label_components(mask, connectivity)
+        assert count == want_count
+        assert labels.dtype == np.int32
+        assert np.array_equal(labels, want_labels)
+
+
+def test_label_components_diagonal_contact_depends_on_connectivity():
+    mask = np.array(
+        [[1, 1, 0, 0, 1],
+         [0, 0, 1, 0, 1],
+         [1, 0, 0, 1, 0]], dtype=bool,
+    )
+    labels8, count8 = label_components(mask, 8)
+    assert count8 == 2
+    assert labels8[0, 0] == labels8[1, 2] == labels8[2, 3] == labels8[0, 4] == 1
+    assert labels8[2, 0] == 2
+    _, count4 = label_components(mask, 4)
+    assert count4 == 5
+    with pytest.raises(ValueError):
+        label_components(mask, 6)
 
 
 def test_guard_no_sign_changes_returns_field_unchanged():

@@ -161,6 +161,35 @@ def test_evolve_tracks_contracting_disc():
     assert res.residual_trace[-1] <= 0.5 * res.residual_trace[0]
 
 
+@pytest.mark.parametrize("cg_max_iter", [None, 3])
+def test_evolve_diagnostics_record_each_solve(monkeypatch, cg_max_iter):
+    spec = pw.SynthSpec(
+        size=(32, 32), disc_center=(16.0, 16.0), disc_radius=8.0,
+        contraction_per_frame=0.93, frames=2, texture_seed=6,
+        texture_smoothing=2.0,
+    )
+    frames, _, regions = pw.generate(spec)
+    solves = []
+
+    def recording_solve(*args):
+        result = pw.solve_infinitesimal(*args)
+        solves.append(result)
+        return result
+
+    monkeypatch.setattr(pw.tracker, "solve_infinitesimal", recording_solve)
+    cfg = pw.TrackConfig(
+        solver=small_solver(cg_max_iter=cg_max_iter), dt=1.0, max_inner_iters=6
+    )
+    res = pw.evolve_pair(frames[0], frames[1], regions[0], cfg)
+    assert len(solves) == len(res.diagnostics) == res.iterations_used
+    for row, solve in zip(res.diagnostics, solves):
+        assert row.cg_iterations == solve.iterations >= 1
+        assert row.cg_converged == solve.converged
+        assert row.components == 1
+    # a 3-step cap cannot converge to 1e-5
+    assert any(not row.cg_converged for row in res.diagnostics) == (cg_max_iter == 3)
+
+
 def test_evolve_final_region_matches_levelset_threshold():
     spec = pw.SynthSpec(
         size=(48, 48), disc_center=(24.0, 24.0), disc_radius=11.0,
