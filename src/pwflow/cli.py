@@ -4,10 +4,11 @@ Configuration precedence is built-in defaults, then a ``key = value`` config
 file, then command-line flags.  Every run writes a manifest recording the
 resolved configuration (with per-key provenance), input digests, and output
 files; ``pwflow replay MANIFEST --out DIR`` re-executes a run from its
-manifest and reproduces the outputs byte for byte.
+manifest and reproduces the outputs byte for byte, after checking that each
+input file still has its recorded SHA-256 digest.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error, 4 numerical
-failure (non-finite solve or vanished region).
+Exit codes: 0 success, 2 usage error, 3 input parse error or changed replay
+input, 4 numerical failure (non-finite solve or vanished region).
 """
 
 import argparse
@@ -31,7 +32,7 @@ from .errors import (
     RegionVanishedError,
     TrackAborted,
 )
-from .flow import SolverConfig, solve_infinitesimal
+from .flow import MODES, SolverConfig, solve_infinitesimal
 from .grid import RegionPartition, identity_map, signed_distance
 from .metrics import (
     apd,
@@ -57,12 +58,14 @@ DIAG_COLUMNS = (
     "components", "cg_iterations", "cg_converged",
 )
 
-# (type tag, default) per configurable key, grouped by subcommand.
+# (type tag, default) per configurable key, grouped by subcommand.  Each key
+# is also the subcommand's flag ``--key-with-hyphens`` (``--no-key`` for a
+# bool), and no subcommand takes a flag outside its schema.
 _SOLVER_SCHEMA = {
     "alpha_in": ("float", 3.0),
     "alpha_out": ("float", 3.0),
     "beta": ("float", 100.0),
-    "mode": ("str", "hard"),
+    "mode": ("mode", "hard"),
     "cg_tol": ("float", 1e-8),
     "cg_max_iter": ("opt_int", None),
 }
@@ -103,8 +106,15 @@ def _format_value(tag: str, value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _mode_name(text: str) -> str:
+    """Solver mode from its flag or file spelling (``region-only`` too)."""
+    return text.replace("-", "_")
+
+
 def _parse_value(tag: str, text: str):
     text = text.strip()
+    if tag == "mode":
+        return _mode_name(text)
     if tag.startswith("opt_") and text == "none":
         return None
     if tag in ("float", "opt_float"):
@@ -139,7 +149,11 @@ def read_config_file(path) -> dict:
 
 
 def resolve_config(schema: dict, file_values: dict, flag_values: dict):
-    """Merge defaults, config-file entries, and flags; track provenance."""
+    """Merge defaults, config-file entries, and flags; track provenance.
+
+    Only the schema's keys are read from ``flag_values``; ``None`` there
+    means the flag was not given.
+    """
     values = {}
     provenance = {}
     for key, (tag, default) in schema.items():
@@ -268,7 +282,7 @@ def _solver_config(values: dict) -> SolverConfig:
         alpha_in=values["alpha_in"],
         alpha_out=values["alpha_out"],
         beta=values["beta"],
-        mode=values["mode"].replace("-", "_"),
+        mode=values["mode"],
         cg_rel_tol=values["cg_tol"],
         cg_max_iter=values["cg_max_iter"],
     )
@@ -337,7 +351,7 @@ def run_flow(values: dict, image0, image1, mask, out_dir: Path) -> list:
     psi = signed_distance(fg) if 0 < fg.sum() < fg.size else None
     partition = RegionPartition(labels, psi=psi)
     cfg = _solver_config(values)
-    result = solve_infinitesimal(frame0, frame1, partition, psi, cfg)
+    result = solve_infinitesimal(frame0, frame1, partition, cfg)
 
     outputs = []
     rasterio.write_fgrid(out_dir / "velocity.fgrid", result.velocity.field)
@@ -346,7 +360,7 @@ def run_flow(values: dict, image0, image1, mask, out_dir: Path) -> list:
     rasterio.write_ppm(out_dir / "flow_color.ppm", rgb)
     outputs.append("flow_color.ppm")
 
-    jmax, jmean = normal_jump(result.velocity, cfg, psi=psi)
+    jmax, jmean = normal_jump(result.velocity, cfg)
     report = (
         f"mode = {cfg.mode}\n"
         f"normal_jump_max = {jmax!r}\n"
@@ -503,25 +517,22 @@ def run_eval(result_dir: Path, gt_dir: Path, out_dir: Path) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser):
-    p.add_argument("--alpha-in", dest="alpha_in", type=float, default=None)
-    p.add_argument("--alpha-out", dest="alpha_out", type=float, default=None)
-    p.add_argument("--beta", type=float, default=None)
-    p.add_argument(
-        "--mode",
-        choices=["hard", "soft", "global", "region-only"],
-        default=None,
-    )
-    p.add_argument("--cg-tol", dest="cg_tol", type=float, default=None)
-    p.add_argument("--cg-max-iter", dest="cg_max_iter", type=int, default=None)
-    p.add_argument("--dt", type=float, default=None)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    p.add_argument("--converge-tol", dest="converge_tol", type=float, default=None)
-    p.add_argument(
-        "--no-topology", dest="topology", action="store_false", default=None
-    )
-    p.add_argument("--reinit-every", dest="reinit_every", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+_FLAG_TYPES = {
+    "float": float, "opt_float": float, "int": int, "opt_int": int,
+    "mode": _mode_name,
+}
+
+
+def _add_schema_flags(p: argparse.ArgumentParser, schema: dict):
+    """One flag per key of the subcommand's schema, then ``--out``/``--config``."""
+    for key, (tag, _) in schema.items():
+        name = key.replace("_", "-")
+        if tag == "bool":
+            p.add_argument(f"--no-{name}", dest=key, action="store_false",
+                           default=None)
+        else:
+            p.add_argument(f"--{name}", dest=key, type=_FLAG_TYPES[tag],
+                           choices=MODES if tag == "mode" else None, default=None)
     p.add_argument("--out", type=Path, required=True)
     p.add_argument("--config", type=Path, default=None)
 
@@ -534,27 +545,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a textured synthetic sequence")
-    _add_common_flags(p)
-    p.add_argument("--size", type=int, default=None)
-    p.add_argument("--radius", type=float, default=None)
-    p.add_argument("--contraction", type=float, default=None)
-    p.add_argument("--rot-in", dest="rot_in", type=float, default=None)
-    p.add_argument("--rot-out", dest="rot_out", type=float, default=None)
-    p.add_argument("--frames", type=int, default=None)
-    p.add_argument("--smoothing", type=float, default=None)
+    _add_schema_flags(p, _SYNTH_SCHEMA)
 
     p = sub.add_parser("flow", help="solve one incremental velocity field")
     p.add_argument("image0", type=Path)
     p.add_argument("image1", type=Path)
     p.add_argument("mask", type=Path)
-    _add_common_flags(p)
-    p.add_argument("--flow-max", dest="flow_max", type=float, default=None)
+    _add_schema_flags(p, _FLOW_SCHEMA)
 
     p = sub.add_parser("track", help="propagate a segmentation along frames")
     p.add_argument("frames", nargs="+",
                    help="frame files or glob patterns, in order")
     p.add_argument("--mask", type=Path, required=True)
-    _add_common_flags(p)
+    _add_schema_flags(p, _TRACK_SCHEMA)
 
     p = sub.add_parser(
         "eval",
@@ -563,24 +566,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("result_dir", type=Path)
     p.add_argument("gt_dir", type=Path)
-    _add_common_flags(p)
+    _add_schema_flags(p, _EVAL_SCHEMA)
 
     p = sub.add_parser("replay", help="re-run a recorded manifest")
     p.add_argument("manifest", type=Path)
     p.add_argument("--out", type=Path, required=True)
     return parser
-
-
-def _flag_values(args, schema) -> dict:
-    out = {}
-    for key in schema:
-        if hasattr(args, key):
-            val = getattr(args, key)
-            if val is not None:
-                out[key] = val
-    if getattr(args, "mode", None) is not None:
-        out["mode"] = args.mode.replace("-", "_")
-    return out
 
 
 def _expand_frames(patterns) -> list:
@@ -636,6 +627,12 @@ def main(argv=None) -> int:
     try:
         if args.command == "replay":
             manifest = RunManifest.parse(Path(args.manifest).read_text())
+            for digest, path in manifest.inputs:
+                if digest != "dir" and _sha256(path) != digest:
+                    raise InputFormatError(
+                        f"input {path} differs from the recorded run "
+                        "(SHA-256 mismatch)"
+                    )
             inputs = [path for _, path in manifest.inputs]
             provenance = {k: "manifest" for k in manifest.provenance}
             return _dispatch(
@@ -645,9 +642,7 @@ def main(argv=None) -> int:
 
         schema = SCHEMAS[args.command]
         file_values = read_config_file(args.config) if args.config else {}
-        values, provenance = resolve_config(
-            schema, file_values, _flag_values(args, schema)
-        )
+        values, provenance = resolve_config(schema, file_values, vars(args))
         if args.command == "synth":
             inputs = []
         elif args.command == "flow":

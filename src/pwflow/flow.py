@@ -30,7 +30,7 @@ which on singular-but-consistent systems returns the minimum-norm solution.
 """
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,6 @@ from .errors import ConfigError, GridShapeError, NumericalError
 from .grid import (
     RegionPartition,
     gradient_region_aware,
-    normals_from_levelset,
     project_normal,
     require_same_shape,
 )
@@ -248,11 +247,11 @@ class MotionOperator:
       (offset 2) or one row down (offset ``2w``).  It is the region's alpha
       between same-label neighbours and 0 across a label cut, at a row end
       and on the last row;
-    * the interface pairs ``pair_a``/``pair_b`` with their unit normals and
-      per-side couplings ``couple_a``/``couple_b`` (zero outside ``hard``
-      and ``soft``; the two differ when the sides' alphas do).  Pair ``(a,
-      b)`` adds ``-couple_a (n.d) n`` at ``a`` and ``+couple_b (n.d) n`` at
-      ``b`` with ``d = v(b) - v(a)``.
+    * the interface pairs ``pair_a``/``pair_b`` with the partition's unit
+      normals and per-side couplings ``couple_a``/``couple_b`` (zero
+      outside ``hard`` and ``soft``; the two differ when the sides' alphas
+      do).  Pair ``(a, b)`` adds ``-couple_a (n.d) n`` at ``a`` and
+      ``+couple_b (n.d) n`` at ``b`` with ``d = v(b) - v(a)``.
 
     One application is then a few whole-array passes: an edge term is a
     difference of two shifted views of the flat field, and the coupling is
@@ -260,7 +259,7 @@ class MotionOperator:
     which no pixel repeats, so plain fancy-index updates are exact.
     """
 
-    def __init__(self, image, partition: RegionPartition, cfg: SolverConfig, psi=None):
+    def __init__(self, image, partition: RegionPartition, cfg: SolverConfig):
         image = np.asarray(image, dtype=np.float64)
         require_same_shape(image, partition.labels)
         self.cfg = cfg
@@ -305,10 +304,6 @@ class MotionOperator:
         else:
             self.pair_a = partition.pair_a
             self.pair_b = partition.pair_b
-        if psi is not None and cfg.mode in ("hard", "soft"):
-            self.pair_normals = normals_from_levelset(psi, partition.pairs)
-        else:
-            self.pair_normals = partition.normals
         if cfg.mode in ("hard", "soft"):
             if cfg.mode == "soft":
                 _check_soft_denominator(cfg.beta, alpha_a, alpha_b)
@@ -328,7 +323,7 @@ class MotionOperator:
             order = np.argsort(~horiz, kind="stable")
             k = int(horiz.sum())
             pa, pb = pa[order], pb[order]
-            normals = self.pair_normals[order]
+            normals = partition.normals[order]
             self._coupling = (
                 pa,
                 pb,
@@ -337,12 +332,6 @@ class MotionOperator:
                 self.couple_b[order, None] * normals,
                 ((pa[:k], pb[:k], slice(0, k)), (pa[k:], pb[k:], slice(k, None))),
             )
-
-    @property
-    def pair_touch_count(self) -> int:
-        """Number of neighbour-pair stencil terms one application evaluates."""
-        h, w = self.shape
-        return h * (w - 1) + (h - 1) * w
 
     def __call__(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         v = np.ascontiguousarray(v, dtype=np.float64)
@@ -383,9 +372,9 @@ class MotionOperator:
         return out
 
 
-def apply_operator(velocity: PiecewiseVelocity, image, cfg: SolverConfig, psi=None):
+def apply_operator(velocity: PiecewiseVelocity, image, cfg: SolverConfig):
     """One application of the configured motion operator to a velocity."""
-    op = MotionOperator(image, velocity.partition, cfg, psi=psi)
+    op = MotionOperator(image, velocity.partition, cfg)
     return op(velocity.field)
 
 
@@ -464,31 +453,30 @@ def solve_cg(operator, b, cfg: SolverConfig) -> CGResult:
 
 @dataclass
 class SolveResult:
-    """Velocity solve outcome plus the operator used to produce it."""
+    """Velocity solve outcome: the field on its partition and the CG record."""
 
     velocity: PiecewiseVelocity
     residuals: list
     converged: bool
     iterations: int
-    operator: MotionOperator = dataclass_field(repr=False, default=None)
 
 
 def solve_infinitesimal(
-    image, next_image, partition: RegionPartition, psi, cfg: SolverConfig
+    image, next_image, partition: RegionPartition, cfg: SolverConfig
 ) -> SolveResult:
     """Solve one incremental velocity between ``image`` and ``next_image``.
 
-    Composes interface normals from the level set, the data-term right-hand
-    side, the configured motion operator, and the CG solve.
+    Composes the data-term right-hand side, the configured motion operator
+    (coupling along the partition's interface normals), and the CG solve.
     """
     image = np.asarray(image, dtype=np.float64)
     next_image = np.asarray(next_image, dtype=np.float64)
     require_same_shape(image, next_image, partition.labels)
-    op = MotionOperator(image, partition, cfg, psi=psi)
+    op = MotionOperator(image, partition, cfg)
     b = -(next_image - image)[..., None] * op.gradient
     cg = solve_cg(op, b, cfg)
     vel = PiecewiseVelocity(cg.solution, partition)
-    return SolveResult(vel, cg.residuals, cg.converged, cg.iterations, op)
+    return SolveResult(vel, cg.residuals, cg.converged, cg.iterations)
 
 
 def energy(velocity: PiecewiseVelocity, image, next_image, cfg: SolverConfig) -> float:

@@ -14,7 +14,7 @@ from .flow import (
     _ghost_coefficients,
     _region_alphas,
 )
-from .grid import normals_from_levelset, require_same_shape, signed_distance
+from .grid import require_same_shape, signed_distance
 
 __all__ = [
     "apd",
@@ -261,33 +261,29 @@ def endpoint_error(flow, gt_flow, mask=None) -> tuple:
     return float(err.mean()), float(err.max())
 
 
-def _pair_quantities(velocity: PiecewiseVelocity, cfg: SolverConfig, psi=None):
+def _pair_quantities(velocity: PiecewiseVelocity, cfg: SolverConfig):
     part = velocity.partition
     if part.num_pairs == 0:
         return None
-    if psi is not None:
-        normals = normals_from_levelset(psi, part.pairs)
-    else:
-        normals = part.normals
     _, _, aa, ab = _region_alphas(part, cfg)
     flat = velocity.field.reshape(-1, 2)
     va = flat[part.pair_a]
     vb = flat[part.pair_b]
-    return normals, aa, ab, va, vb
+    return part.normals, aa, ab, va, vb
 
 
-def normal_jump(velocity: PiecewiseVelocity, cfg: SolverConfig, psi=None) -> tuple:
+def normal_jump(velocity: PiecewiseVelocity, cfg: SolverConfig) -> tuple:
     """Interface mismatch of normal velocity components, per the solver mode.
 
-    The two fields are completed across each interface pair with the mode's
-    ghost formulas, and the jump is measured where that mode imposes its
-    interface condition: for ``hard`` the difference of the two face
-    extensions (identically zero when the condition holds), for ``soft`` the
-    larger same-pixel residual of the penalised conditions, and for the
-    uncoupled modes the raw difference across the pair.  Returns
-    ``(max, mean)`` over interface pairs.
+    The two fields are completed across each interface pair, along the
+    partition's normals, with the mode's ghost formulas, and the jump is
+    measured where that mode imposes its interface condition: for ``hard``
+    the difference of the two face extensions (identically zero when the
+    condition holds), for ``soft`` the larger same-pixel residual of the
+    penalised conditions, and for the uncoupled modes the raw difference
+    across the pair.  Returns ``(max, mean)`` over interface pairs.
     """
-    q = _pair_quantities(velocity, cfg, psi)
+    q = _pair_quantities(velocity, cfg)
     if q is None:
         return 0.0, 0.0
     normals, aa, ab, va, vb = q
@@ -307,9 +303,9 @@ def normal_jump(velocity: PiecewiseVelocity, cfg: SolverConfig, psi=None) -> tup
     return float(jump.max()), float(jump.mean())
 
 
-def tangential_jump(velocity: PiecewiseVelocity, cfg: SolverConfig, psi=None) -> tuple:
+def tangential_jump(velocity: PiecewiseVelocity, cfg: SolverConfig) -> tuple:
     """Raw tangential velocity mismatch across interface pairs (max, mean)."""
-    q = _pair_quantities(velocity, cfg, psi)
+    q = _pair_quantities(velocity, cfg)
     if q is None:
         return 0.0, 0.0
     normals, _, _, va, vb = q

@@ -78,9 +78,9 @@ class IterationDiagnostics:
     residual: float
     area: int
     normal_jump_max: float
-    components: int = 0
-    cg_iterations: int = 0
-    cg_converged: bool = True
+    components: int
+    cg_iterations: int
+    cg_converged: bool
 
 
 @dataclass
@@ -194,10 +194,6 @@ def topology_guard(psi_old, psi_new, eps: float = TOPOLOGY_CLAMP_EPS) -> np.ndar
 def _compose_labels(psis: dict, shape) -> np.ndarray:
     """Label raster from per-structure level sets (most-negative wins)."""
     labels = np.zeros(shape, dtype=np.int32)
-    if len(psis) == 1:
-        (lab, psi), = psis.items()
-        labels[psi <= 0.0] = lab
-        return labels
     order = sorted(psis)
     stack = np.stack([psis[lab] for lab in order], axis=0)
     best = np.argmin(stack, axis=0)
@@ -208,8 +204,6 @@ def _compose_labels(psis: dict, shape) -> np.ndarray:
 
 
 def _union_psi(psis: dict) -> np.ndarray:
-    if len(psis) == 1:
-        return next(iter(psis.values()))
     return np.minimum.reduce(list(psis.values()))
 
 
@@ -258,7 +252,11 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
     psis = {lab: signed_distance(region.labels == lab) for lab in struct_labels}
     backward_map = identity_map(h, w)
     current = image0
-    union_prev = _union_psi(psis)
+    # labels and union level set of the current psis, carried from each
+    # iteration's end into the next partition and the final one
+    labels = _compose_labels(psis, (h, w))
+    union = _union_psi(psis)
+    union_prev = union
 
     residual_trace = [float(np.abs(current - image1).mean())]
     diagnostics = []
@@ -268,13 +266,8 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
 
     for it in range(1, cfg.max_inner_iters + 1):
         iterations = it
-        union = _union_psi(psis)
-        partition = RegionPartition(_compose_labels(psis, (h, w)), psi=union)
-        for lab in struct_labels:
-            if not np.any(partition.labels == lab):
-                raise RegionVanishedError(lab, it)
-
-        solve = solve_infinitesimal(current, image1, partition, union, cfg.solver)
+        partition = RegionPartition(labels, psi=union)
+        solve = solve_infinitesimal(current, image1, partition, cfg.solver)
         v = solve.velocity.field
 
         n_sub, sub_dt = _cfl_substeps(v, cfg.dt)
@@ -286,28 +279,31 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
                     advected = topology_guard(psis[lab], advected)
                 psis[lab] = advected
         backward_map = _clamp_map(backward_map, (h, w))
+        # the convergence measure compares level sets before the reinit step
         union_now = _union_psi(psis)
 
+        union = union_now
         if it % cfg.reinit_every == 0:
             for lab in struct_labels:
                 psis[lab] = reinitialize_signed_distance(psis[lab])
+            union = _union_psi(psis)
 
         current = warp_image(image0, backward_map)
-        labels_now = _compose_labels(psis, (h, w))
+        labels = _compose_labels(psis, (h, w))
         for lab in struct_labels:
-            if not np.any(labels_now == lab):
+            if not np.any(labels == lab):
                 raise RegionVanishedError(lab, it)
 
         residual = float(np.abs(current - image1).mean())
         residual_trace.append(residual)
-        jump_max, _ = normal_jump(solve.velocity, cfg.solver, psi=union)
+        jump_max, _ = normal_jump(solve.velocity, cfg.solver)
         diagnostics.append(
             IterationDiagnostics(
                 iteration=it,
                 residual=residual,
-                area=int((labels_now > 0).sum()),
+                area=int((labels > 0).sum()),
                 normal_jump_max=jump_max,
-                components=count_components(labels_now > 0),
+                components=count_components(labels > 0),
                 cg_iterations=solve.iterations,
                 cg_converged=solve.converged,
             )
@@ -323,11 +319,9 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
         else:
             streak = 0
 
-    psi_final = _union_psi(psis)
-    final = RegionPartition(_compose_labels(psis, (h, w)), psi=psi_final)
     return TrackResult(
-        final_region=final,
-        psi_final=psi_final,
+        final_region=RegionPartition(labels, psi=union),
+        psi_final=union,
         backward_map=backward_map,
         iterations_used=iterations,
         converged=converged,

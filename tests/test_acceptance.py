@@ -103,21 +103,21 @@ def _interface_test_pair():
     frames, _, regions = pw.generate(spec)
     psi = pw.signed_distance(regions[0].labels == 1)
     part = pw.RegionPartition(regions[0].labels, psi=psi)
-    return frames, part, psi
+    return frames, part
 
 
 def test_criterion_3_hard_constraint_vs_independent_neumann_solves():
-    frames, part, psi = _interface_test_pair()
+    frames, part = _interface_test_pair()
     hard_cfg = pw.SolverConfig(alpha_in=3.0, alpha_out=3.0, mode="hard")
-    hard = pw.solve_infinitesimal(frames[0], frames[1], part, psi, hard_cfg)
+    hard = pw.solve_infinitesimal(frames[0], frames[1], part, hard_cfg)
     assert hard.converged
-    j_hard, _ = pw.normal_jump(hard.velocity, hard_cfg, psi=psi)
+    j_hard, _ = pw.normal_jump(hard.velocity, hard_cfg)
     bound = 1e-6 * (1.0 + hard.velocity.max_norm)
     assert j_hard <= bound
 
     neumann_cfg = pw.SolverConfig(alpha_in=3.0, alpha_out=3.0, mode="region_only")
-    neumann = pw.solve_infinitesimal(frames[0], frames[1], part, psi, neumann_cfg)
-    j_neumann, _ = pw.normal_jump(neumann.velocity, neumann_cfg, psi=psi)
+    neumann = pw.solve_infinitesimal(frames[0], frames[1], part, neumann_cfg)
+    j_neumann, _ = pw.normal_jump(neumann.velocity, neumann_cfg)
     assert j_neumann >= 100.0 * max(j_hard, 1e-12)
     _report(3, "interface normal matching",
             f"hard {j_hard:.2e} vs independent solves {j_neumann:.2e}")
@@ -137,8 +137,8 @@ def test_criterion_4_soft_interface_residual_decreases_with_penalty():
     max_v = 0.0
     for beta in (10.0, 100.0, 1000.0, 1e4):
         cfg = pw.SolverConfig(alpha_in=1.0, alpha_out=1.0, beta=beta, mode="soft")
-        res = pw.solve_infinitesimal(frames[0], frames[1], part, psi, cfg)
-        jumps.append(pw.normal_jump(res.velocity, cfg, psi=psi)[0])
+        res = pw.solve_infinitesimal(frames[0], frames[1], part, cfg)
+        jumps.append(pw.normal_jump(res.velocity, cfg)[0])
         max_v = max(max_v, res.velocity.max_norm)
     assert all(b <= a for a, b in zip(jumps, jumps[1:]))  # nonincreasing
     assert jumps[-1] <= 1e-3 * (1.0 + max_v)
@@ -248,7 +248,7 @@ def test_criterion_7_fixed_point_and_replay_determinism(tmp_path):
     labels = (((xx - 24) ** 2 + (yy - 24) ** 2) <= 100).astype(np.int32)
     part = pw.RegionPartition(labels)
     psi = pw.signed_distance(labels == 1)
-    solve = pw.solve_infinitesimal(tex, tex, part, psi, pw.SolverConfig())
+    solve = pw.solve_infinitesimal(tex, tex, part, pw.SolverConfig())
     assert np.all(solve.velocity.field == 0.0)
 
     cfg = pw.TrackConfig(solver=pw.SolverConfig(cg_rel_tol=1e-6))

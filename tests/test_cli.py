@@ -8,6 +8,8 @@ from pwflow.cli import (
     EXIT_INPUT,
     EXIT_NUMERIC,
     EXIT_OK,
+    EXIT_USAGE,
+    SCHEMAS,
     RunManifest,
     main,
     read_config_file,
@@ -358,6 +360,71 @@ def test_replay_reproduces_flow_bitwise(tmp_path):
     assert run_cli("replay", out / "manifest.txt", "--out", replay_out) == EXIT_OK
     for name in ("velocity.fgrid", "flow_color.ppm", "jump_report.txt"):
         assert (replay_out / name).read_bytes() == (out / name).read_bytes()
+
+
+def test_replay_refuses_a_changed_input(tmp_path, capsys):
+    data = make_synth_dir(tmp_path)
+    out = tmp_path / "flowout"
+    assert run_cli(
+        "flow", data / "frame_0000.pgm", data / "frame_0001.pgm",
+        data / "gt_mask_0000.pgm", "--out", out, "--cg-tol", 1e-4,
+    ) == EXIT_OK
+    frame = rasterio.read_pgm(data / "frame_0001.pgm")
+    frame[0, 0] = 65535 - frame[0, 0]
+    rasterio.write_pgm(data / "frame_0001.pgm", frame, 65535)
+    capsys.readouterr()
+    replay_out = tmp_path / "flowreplay"
+    assert run_cli("replay", out / "manifest.txt", "--out", replay_out) == EXIT_INPUT
+    assert "frame_0001.pgm" in capsys.readouterr().err
+    assert not (replay_out / "velocity.fgrid").exists()
+
+
+# ---------------------------------------------------------------------------
+# flags
+# ---------------------------------------------------------------------------
+
+POSITIONALS = {
+    "synth": [],
+    "flow": ["a.pgm", "b.pgm", "m.pgm"],
+    "track": ["a.pgm", "b.pgm", "--mask", "m.pgm"],
+    "eval": ["res", "gt"],
+}
+
+
+def _flag(key):
+    tag = [schema[key][0] for schema in SCHEMAS.values() if key in schema][0]
+    name = key.replace("_", "-")
+    return [f"--no-{name}"] if tag == "bool" else [f"--{name}", "1"]
+
+
+@pytest.mark.parametrize("subcommand", sorted(SCHEMAS))
+def test_subcommand_rejects_flags_of_other_subcommands(tmp_path, subcommand):
+    foreign = set().union(*SCHEMAS.values()) - set(SCHEMAS[subcommand])
+    assert foreign
+    for key in sorted(foreign):
+        argv = [subcommand, *POSITIONALS[subcommand], "--out", tmp_path / "o",
+                *_flag(key)]
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv)
+        assert exc.value.code == EXIT_USAGE, key
+    assert not (tmp_path / "o").exists()
+
+
+def test_region_only_spellings_resolve_to_one_mode(tmp_path):
+    data = make_synth_dir(tmp_path, size=24, radius=6, frames=2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mode = region-only\ncg_tol = 1e-3\n")
+    inputs = [data / "frame_0000.pgm", data / "frame_0001.pgm",
+              data / "gt_mask_0000.pgm"]
+    for name, extra, source in (
+        ("file", ["--config", cfg], "file"),
+        ("flag", ["--mode", "region-only", "--cg-tol", 1e-3], "flag"),
+    ):
+        out = tmp_path / name
+        assert run_cli("flow", *inputs, "--out", out, *extra) == EXIT_OK
+        manifest = (out / "manifest.txt").read_text()
+        assert f"mode = region_only | {source}" in manifest
+        assert "mode = region_only" in (out / "jump_report.txt").read_text()
 
 
 def test_config_file_plus_flag_precedence_end_to_end(tmp_path):

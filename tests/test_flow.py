@@ -312,20 +312,6 @@ def test_modes_coincide_when_one_label_covers_grid():
         assert np.allclose(outs[0], other, atol=1e-12)
 
 
-def test_operator_pair_touch_count_parity():
-    rng = np.random.default_rng(15)
-    image, labels, _ = random_two_region_instance(rng, max_side=10)
-    part = pw.RegionPartition(labels)
-    counts = {}
-    for mode in pw.MODES:
-        cfg = make_cfg(mode, rng, equal_alphas=True)
-        counts[mode] = MotionOperator(image, part, cfg).pair_touch_count
-    assert counts["hard"] == counts["global"]
-    assert counts["soft"] == counts["global"]
-    h, w = image.shape
-    assert counts["global"] == h * (w - 1) + (h - 1) * w
-
-
 # ---------------------------------------------------------------------------
 # assemble_rhs
 # ---------------------------------------------------------------------------
@@ -436,8 +422,7 @@ def test_cg_raises_on_non_finite():
 def test_solve_matched_frames_gives_zero_velocity():
     image, labels, _ = random_two_region_instance(RNG)
     part = pw.RegionPartition(labels)
-    psi = pw.signed_distance(labels == 1)
-    res = pw.solve_infinitesimal(image, image, part, psi, pw.SolverConfig())
+    res = pw.solve_infinitesimal(image, image, part, pw.SolverConfig())
     assert np.all(res.velocity.field == 0.0)
     assert res.converged
 
@@ -450,7 +435,7 @@ def test_solve_recovers_half_pixel_translation():
     moved = pw.bilinear_sample(tex, shifted_coords)
     part = pw.RegionPartition(np.zeros((64, 64), np.int32))
     cfg = pw.SolverConfig(alpha_in=3.0, alpha_out=3.0, mode="global")
-    res = pw.solve_infinitesimal(tex, moved, part, None, cfg)
+    res = pw.solve_infinitesimal(tex, moved, part, cfg)
     inner = res.velocity.field[8:-8, 8:-8]
     mean_v = np.array([inner[..., 0].mean(), inner[..., 1].mean()])
     assert np.linalg.norm(mean_v - [0.5, 0.0]) <= 0.1
@@ -465,10 +450,9 @@ def test_solve_hard_mode_interface_agreement():
     yy, xx = np.mgrid[0:48, 0:48]
     labels = (((xx - 24) ** 2 + (yy - 24) ** 2) <= 100).astype(np.int32)
     part = pw.RegionPartition(labels)
-    psi = pw.signed_distance(labels == 1)
     cfg = pw.SolverConfig(alpha_in=2.0, alpha_out=2.0, mode="hard")
-    res = pw.solve_infinitesimal(tex, moved, part, psi, cfg)
-    jmax, _ = pw.normal_jump(res.velocity, cfg, psi=psi)
+    res = pw.solve_infinitesimal(tex, moved, part, cfg)
+    jmax, _ = pw.normal_jump(res.velocity, cfg)
     assert jmax <= 1e-6 * (1.0 + res.velocity.max_norm)
 
 
@@ -478,10 +462,9 @@ def test_energy_never_increases_from_zero_guess():
         for _ in range(5):
             image, labels, _ = random_two_region_instance(rng, max_side=10)
             part = pw.RegionPartition(labels)
-            psi = pw.signed_distance(labels == 1)
             cfg = make_cfg(mode, rng, equal_alphas=(mode == "soft"))
             next_image = rng.random(image.shape)
-            res = pw.solve_infinitesimal(image, next_image, part, psi, cfg)
+            res = pw.solve_infinitesimal(image, next_image, part, cfg)
             zero = pw.PiecewiseVelocity(np.zeros_like(res.velocity.field), part)
             e_solved = pw.energy(res.velocity, image, next_image, cfg)
             e_zero = pw.energy(zero, image, next_image, cfg)
@@ -499,8 +482,8 @@ def test_counter_rotation_tangential_jump_dominates_normal_jump():
     psi = pw.signed_distance(regions[0].labels == 1)
     part = pw.RegionPartition(regions[0].labels, psi=psi)
     cfg = pw.SolverConfig(alpha_in=3.0, alpha_out=3.0, mode="hard")
-    res = pw.solve_infinitesimal(frames[0], frames[1], part, psi, cfg)
-    _, tan_mean = pw.tangential_jump(res.velocity, cfg, psi=psi)
+    res = pw.solve_infinitesimal(frames[0], frames[1], part, cfg)
+    _, tan_mean = pw.tangential_jump(res.velocity, cfg)
     # raw normal-component mismatch across the pairs, for scale
     flat = res.velocity.field.reshape(-1, 2)
     d = flat[part.pair_b] - flat[part.pair_a]

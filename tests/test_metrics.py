@@ -296,9 +296,9 @@ def test_normal_jump_independent_region_solves_exceed_hard(tmp_path):
     part = pw.RegionPartition(regions[0].labels, psi=psi)
     hard_cfg = pw.SolverConfig(alpha_in=3.0, alpha_out=3.0, mode="hard")
     neumann_cfg = pw.SolverConfig(alpha_in=3.0, alpha_out=3.0, mode="region_only")
-    hard = pw.solve_infinitesimal(frames[0], frames[1], part, psi, hard_cfg)
-    neum = pw.solve_infinitesimal(frames[0], frames[1], part, psi, neumann_cfg)
-    j_hard, _ = pw.normal_jump(hard.velocity, hard_cfg, psi=psi)
-    j_neum, _ = pw.normal_jump(neum.velocity, neumann_cfg, psi=psi)
+    hard = pw.solve_infinitesimal(frames[0], frames[1], part, hard_cfg)
+    neum = pw.solve_infinitesimal(frames[0], frames[1], part, neumann_cfg)
+    j_hard, _ = pw.normal_jump(hard.velocity, hard_cfg)
+    j_neum, _ = pw.normal_jump(neum.velocity, neumann_cfg)
     assert j_neum > j_hard
     assert j_neum > 100.0 * max(j_hard, 1e-12)
