@@ -25,8 +25,6 @@ from .flow import (
     PiecewiseVelocity,
     SolverConfig,
     SolveResult,
-    apply_operator,
-    assemble_rhs,
     energy,
     ghost_values_hard,
     ghost_values_soft,
@@ -86,8 +84,6 @@ __all__ = [
     "TrackConfig",
     "TrackResult",
     "apd",
-    "apply_operator",
-    "assemble_rhs",
     "bilinear_sample",
     "contours_from_levelset",
     "contours_from_mask",

@@ -7,8 +7,9 @@ files; ``pwflow replay MANIFEST --out DIR`` re-executes a run from its
 manifest and reproduces the outputs byte for byte, after checking that each
 input file still has its recorded SHA-256 digest.
 
-Exit codes: 0 success, 2 usage error, 3 input parse error or changed replay
-input, 4 numerical failure (non-finite solve or vanished region).
+Exit codes: 0 success, 2 usage error, 3 input parse error, changed replay
+input or a ``track`` mask without a structure, 4 numerical failure
+(non-finite solve or vanished region).
 """
 
 import argparse
@@ -258,15 +259,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _load_image_pair(path0, path1):
-    raw0 = rasterio.read_pgm(path0)
-    raw1 = rasterio.read_pgm(path1)
-    if raw0.shape != raw1.shape:
-        raise GridShapeError(
-            f"{path0} and {path1} have different dimensions "
-            f"{raw0.shape} vs {raw1.shape}"
-        )
-    return rasterio.normalize_sequence([raw0, raw1])
+def _load_frames(paths) -> list:
+    """Read PGM frames of one grid size, normalised by the first frame's range."""
+    raw = [rasterio.read_pgm(p) for p in paths]
+    shapes = {r.shape for r in raw}
+    if len(shapes) > 1:
+        raise GridShapeError(f"frames have mixed dimensions: {sorted(shapes)}")
+    return rasterio.normalize_sequence(raw)
 
 
 def _load_mask(path, shape):
@@ -345,7 +344,7 @@ def run_synth(values: dict, out_dir: Path) -> list:
 
 
 def run_flow(values: dict, image0, image1, mask, out_dir: Path) -> list:
-    frame0, frame1 = _load_image_pair(image0, image1)
+    frame0, frame1 = _load_frames([image0, image1])
     labels = _load_mask(mask, frame0.shape)
     fg = labels > 0
     psi = signed_distance(fg) if 0 < fg.sum() < fg.size else None
@@ -406,13 +405,10 @@ def run_track(values: dict, frame_paths: list, mask, out_dir: Path):
     """Returns (outputs, failure_note); partial outputs survive a failure."""
     if len(frame_paths) < 2:
         raise InputFormatError("need at least two frames")
-    raw = [rasterio.read_pgm(p) for p in frame_paths]
-    shapes = {r.shape for r in raw}
-    if len(shapes) > 1:
-        raise GridShapeError(f"frames have mixed dimensions: {sorted(shapes)}")
-    frames = rasterio.normalize_sequence(raw)
-    labels = _load_mask(mask, frames[0].shape)
-    region = RegionPartition(labels)
+    frames = _load_frames(frame_paths)
+    region = RegionPartition(_load_mask(mask, frames[0].shape))
+    if not region.structure_labels:
+        raise InputFormatError(f"mask {mask} has no structure labels")
     cfg = _track_config(values)
 
     outputs = []

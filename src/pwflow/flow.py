@@ -49,8 +49,6 @@ __all__ = [
     "PiecewiseVelocity",
     "SolveResult",
     "SolverConfig",
-    "apply_operator",
-    "assemble_rhs",
     "energy",
     "ghost_values_hard",
     "ghost_values_soft",
@@ -257,6 +255,10 @@ class MotionOperator:
     difference of two shifted views of the flat field, and the coupling is
     scattered in two groups (horizontal pairs, then vertical ones), within
     which no pixel repeats, so plain fancy-index updates are exact.
+
+    The operator is the one home of the discrete problem: :meth:`rhs`
+    builds the right-hand side from the same ``gradient``, and
+    :func:`energy` reads the gradient and the edge weights.
     """
 
     def __init__(self, image, partition: RegionPartition, cfg: SolverConfig):
@@ -264,6 +266,7 @@ class MotionOperator:
         require_same_shape(image, partition.labels)
         self.cfg = cfg
         self.partition = partition
+        self.image = image
         self.shape = image.shape
         h, w = image.shape
 
@@ -333,6 +336,12 @@ class MotionOperator:
                 ((pa[:k], pb[:k], slice(0, k)), (pa[k:], pb[k:], slice(k, None))),
             )
 
+    def rhs(self, next_image) -> np.ndarray:
+        """Data-term right-hand side ``-(J1 - I) grad I`` on the effective labels."""
+        next_image = np.asarray(next_image, dtype=np.float64)
+        require_same_shape(self.image, next_image)
+        return -(next_image - self.image)[..., None] * self.gradient
+
     def __call__(self, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         v = np.ascontiguousarray(v, dtype=np.float64)
         if out is None:
@@ -372,21 +381,6 @@ class MotionOperator:
         return out
 
 
-def apply_operator(velocity: PiecewiseVelocity, image, cfg: SolverConfig):
-    """One application of the configured motion operator to a velocity."""
-    op = MotionOperator(image, velocity.partition, cfg)
-    return op(velocity.field)
-
-
-def assemble_rhs(image, next_image, partition: RegionPartition) -> np.ndarray:
-    """Data-term right-hand side ``-(J1 - I) grad I`` (region-aware gradient)."""
-    image = np.asarray(image, dtype=np.float64)
-    next_image = np.asarray(next_image, dtype=np.float64)
-    require_same_shape(image, next_image, partition.labels)
-    g = gradient_region_aware(image, partition.labels)
-    return -(next_image - image)[..., None] * g
-
-
 @dataclass
 class CGResult:
     """Conjugate-gradient outcome: solution field and residual history."""
@@ -399,6 +393,9 @@ class CGResult:
 
 def solve_cg(operator, b, cfg: SolverConfig) -> CGResult:
     """Conjugate gradient on ``A v = b`` with a zero initial guess.
+
+    ``operator(p, out=ap)`` must write ``A p`` into ``ap``, as
+    :class:`MotionOperator` does.
 
     Stops at the first iterate whose residual norm falls below
     ``cg_rel_tol * ||b||``, or flags non-convergence after the iteration cap.
@@ -419,15 +416,11 @@ def solve_cg(operator, b, cfg: SolverConfig) -> CGResult:
     p = r.copy()
     ap = np.empty_like(b)
     tmp = np.empty_like(b)
-    supports_out = isinstance(operator, MotionOperator)
     rs = float(np.vdot(r, r).real)
     residuals = [math.sqrt(rs)]
     k = 0
     while math.sqrt(rs) > target and k < max_iter:
-        if supports_out:
-            operator(p, out=ap)
-        else:
-            ap = operator(p)
+        operator(p, out=ap)
         pap = float(np.vdot(p, ap).real)
         if not np.isfinite(pap):
             raise NumericalError(f"non-finite operator product at iteration {k + 1}")
@@ -473,8 +466,7 @@ def solve_infinitesimal(
     next_image = np.asarray(next_image, dtype=np.float64)
     require_same_shape(image, next_image, partition.labels)
     op = MotionOperator(image, partition, cfg)
-    b = -(next_image - image)[..., None] * op.gradient
-    cg = solve_cg(op, b, cfg)
+    cg = solve_cg(op, op.rhs(next_image), cfg)
     vel = PiecewiseVelocity(cg.solution, partition)
     return SolveResult(vel, cg.residuals, cg.converged, cg.iterations)
 
@@ -482,29 +474,23 @@ def solve_infinitesimal(
 def energy(velocity: PiecewiseVelocity, image, next_image, cfg: SolverConfig) -> float:
     """Quadratic motion energy: data residual plus within-region smoothness.
 
-    Smoothness sums ``alpha |v(y) - v(x)|^2 / 2`` over unordered same-label
-    neighbour pairs (all pairs with weight ``alpha_in`` in global mode), and
-    the data term is the squared linearised brightness residual.
+    Built on the configured :class:`MotionOperator`: the data term is the
+    squared linearised brightness residual on its gradient, and smoothness
+    sums ``weight |v(y) - v(x)|^2 / 2`` over its right and down edges (the
+    region's alpha between same-label neighbours, zero across a label cut).
     """
-    image = np.asarray(image, dtype=np.float64)
+    op = MotionOperator(image, velocity.partition, cfg)
     next_image = np.asarray(next_image, dtype=np.float64)
-    part = velocity.partition
-    require_same_shape(image, next_image, part.labels)
+    require_same_shape(op.image, next_image)
+    h, w = op.shape
     v = velocity.field
 
-    labels_eff, alpha_map, _, _ = _region_alphas(part, cfg)
-    g = gradient_region_aware(image, labels_eff)
-    resid = next_image - image + (g * v).sum(axis=-1)
+    resid = next_image - op.image + (op.gradient * v).sum(axis=-1)
     total = 0.5 * float((resid**2).sum())
-
-    same_r = labels_eff[:, :-1] == labels_eff[:, 1:]
+    right = op.weight_right.reshape(h, w, 2)[:, :-1, 0]
     dv = v[:, 1:] - v[:, :-1]
-    total += 0.5 * float(
-        (alpha_map[:, :-1][same_r] * (dv[same_r] ** 2).sum(axis=-1)).sum()
-    )
-    same_d = labels_eff[:-1, :] == labels_eff[1:, :]
+    total += 0.5 * float((right * (dv**2).sum(axis=-1)).sum())
+    down = op.weight_down.reshape(h, w, 2)[:-1, :, 0]
     dv = v[1:, :] - v[:-1, :]
-    total += 0.5 * float(
-        (alpha_map[:-1, :][same_d] * (dv[same_d] ** 2).sum(axis=-1)).sum()
-    )
+    total += 0.5 * float((down * (dv**2).sum(axis=-1)).sum())
     return total

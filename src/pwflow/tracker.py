@@ -285,6 +285,9 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
         union = union_now
         if it % cfg.reinit_every == 0:
             for lab in struct_labels:
+                # a level set with no pixel inside has nothing to reinitialise
+                if not np.any(psis[lab] <= 0.0):
+                    raise RegionVanishedError(lab, it)
                 psis[lab] = reinitialize_signed_distance(psis[lab])
             union = _union_psi(psis)
 
@@ -334,8 +337,9 @@ def track_sequence(frames, region: RegionPartition, cfg: TrackConfig) -> list:
     """Chain :func:`evolve_pair` across a frame sequence.
 
     Each transition is initialised with the previous transition's final
-    region.  A failing transition raises :class:`TrackAborted` carrying the
-    results completed so far.
+    region.  A transition that fails numerically or loses a structure raises
+    :class:`TrackAborted` carrying the results completed so far; input and
+    configuration errors propagate unchanged.
     """
     frames = [np.asarray(f, dtype=np.float64) for f in frames]
     if len(frames) < 2:
@@ -346,7 +350,7 @@ def track_sequence(frames, region: RegionPartition, cfg: TrackConfig) -> list:
     for i in range(len(frames) - 1):
         try:
             res = evolve_pair(frames[i], frames[i + 1], current, cfg)
-        except (NumericalError, RegionVanishedError, ValueError, ArithmeticError) as exc:
+        except (NumericalError, RegionVanishedError) as exc:
             raise TrackAborted(i, exc, results) from exc
         results.append(res)
         current = res.final_region

@@ -45,7 +45,7 @@ def test_criterion_1_operators_positive_semidefinite():
             image, labels, v = random_two_region_instance(rng, max_side=16)
             part = pw.RegionPartition(labels)
             cfg = _random_cfg(mode, rng)
-            out = pw.apply_operator(pw.PiecewiseVelocity(v, part), image, cfg)
+            out = MotionOperator(image, part, cfg)(v)
             quad = float(np.vdot(v, out))
             norm2 = float(np.vdot(v, v))
             assert quad >= -1e-9 * norm2
@@ -70,18 +70,14 @@ def test_criterion_2_dense_oracle_equivalence():
                 mode=mode, cg_rel_tol=1e-12, cg_max_iter=6000,
             )
             mat = dense_operator_matrix(image, part, cfg)
+            op = MotionOperator(image, part, cfg)
             # operator application vs dense product
-            got = pw.apply_operator(pw.PiecewiseVelocity(v, part), image, cfg)
+            got = op(v)
             want = (mat @ v.reshape(-1)).reshape(v.shape)
             assert np.abs(got - want).max() <= 1e-10
             # CG vs dense minimum-norm solve
-            op = MotionOperator(image, part, cfg)
             next_image = image + 0.04 * rng.standard_normal(image.shape)
-            b = pw.assemble_rhs(
-                image, next_image,
-                part if mode != "global"
-                else pw.RegionPartition(np.zeros_like(labels)),
-            )
+            b = op.rhs(next_image)
             res = pw.solve_cg(op, b, cfg)
             direct = np.linalg.pinv(mat, rcond=1e-12) @ b.reshape(-1)
             err = np.linalg.norm(res.solution.reshape(-1) - direct)

@@ -329,6 +329,17 @@ def test_track_vanishing_region_exits_4_with_partial_outputs(tmp_path):
     assert (out / "mask_0001.pgm").exists()  # partial outputs kept
 
 
+def test_track_empty_mask_is_an_input_error(tmp_path, capsys):
+    data = make_synth_dir(tmp_path)
+    rasterio.write_pgm(tmp_path / "empty.pgm", np.zeros((48, 48), np.uint8), 255)
+    code = run_cli(
+        "track", data / "frame_0000.pgm", data / "frame_0001.pgm",
+        "--mask", tmp_path / "empty.pgm", "--out", tmp_path / "out",
+    )
+    assert code == EXIT_INPUT
+    assert "no structure labels" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # replay
 # ---------------------------------------------------------------------------

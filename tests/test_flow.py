@@ -148,23 +148,22 @@ def test_ghost_soft_solves_discrete_interface_conditions():
 
 
 # ---------------------------------------------------------------------------
-# apply_operator against the dense oracle
+# MotionOperator against the dense oracle
 # ---------------------------------------------------------------------------
 
 
 def test_operator_zero_velocity_maps_to_zero():
     image, labels, _ = random_two_region_instance(RNG)
     part = pw.RegionPartition(labels)
-    vel = pw.PiecewiseVelocity(np.zeros((*labels.shape, 2)), part)
-    out = pw.apply_operator(vel, image, pw.SolverConfig())
+    out = MotionOperator(image, part, pw.SolverConfig())(np.zeros((*labels.shape, 2)))
     assert np.all(out == 0.0)
 
 
 def test_operator_constant_field_constant_image_single_label():
     labels = np.ones((6, 6), np.int32)
     part = pw.RegionPartition(labels)
-    vel = pw.PiecewiseVelocity(np.tile([1.5, -0.5], (6, 6, 1)), part)
-    out = pw.apply_operator(vel, np.full((6, 6), 0.3), pw.SolverConfig())
+    op = MotionOperator(np.full((6, 6), 0.3), part, pw.SolverConfig())
+    out = op(np.tile([1.5, -0.5], (6, 6, 1)))
     assert np.allclose(out, 0.0, atol=1e-14)
 
 
@@ -175,7 +174,7 @@ def test_operator_matches_dense_oracle(mode):
         image, labels, v = random_two_region_instance(rng)
         part = pw.RegionPartition(labels)
         cfg = make_cfg(mode, rng)
-        out = pw.apply_operator(pw.PiecewiseVelocity(v, part), image, cfg)
+        out = MotionOperator(image, part, cfg)(v)
         mat = dense_operator_matrix(image, part, cfg)
         want = (mat @ v.reshape(-1)).reshape(v.shape)
         assert np.abs(out - want).max() <= 1e-10
@@ -194,7 +193,7 @@ def test_operator_multi_label_matches_dense_oracle():
             alpha_in=1.7, alpha_out=0.6, mode="hard",
             alpha_per_label=(0.6, 1.7, 3.1),
         )
-        out = pw.apply_operator(pw.PiecewiseVelocity(v, part), image, cfg)
+        out = MotionOperator(image, part, cfg)(v)
         mat = dense_operator_matrix(image, part, cfg)
         want = (mat @ v.reshape(-1)).reshape(v.shape)
         assert np.abs(out - want).max() <= 1e-10
@@ -202,7 +201,7 @@ def test_operator_multi_label_matches_dense_oracle():
 
 def _assert_matches_dense(image, labels, cfg, v):
     part = pw.RegionPartition(labels)
-    out = pw.apply_operator(pw.PiecewiseVelocity(v, part), image, cfg)
+    out = MotionOperator(image, part, cfg)(v)
     mat = dense_operator_matrix(image, part, cfg)
     want = (mat @ v.reshape(-1)).reshape(v.shape)
     assert np.abs(out - want).max() <= 1e-10
@@ -281,7 +280,7 @@ def test_operator_positive_semidefinite_quadratic_form(mode):
         image, labels, v = random_two_region_instance(rng, max_side=12)
         part = pw.RegionPartition(labels)
         cfg = make_cfg(mode, rng, equal_alphas=(mode == "soft"))
-        out = pw.apply_operator(pw.PiecewiseVelocity(v, part), image, cfg)
+        out = MotionOperator(image, part, cfg)(v)
         quad = float(np.vdot(v, out))
         assert quad >= -1e-9 * float(np.vdot(v, v))
 
@@ -290,11 +289,9 @@ def test_global_mode_ignores_partition():
     rng = np.random.default_rng(4)
     image, labels, v = random_two_region_instance(rng)
     cfg = pw.SolverConfig(alpha_in=2.2, alpha_out=9.9, mode="global")
-    out_part = pw.apply_operator(
-        pw.PiecewiseVelocity(v, pw.RegionPartition(labels)), image, cfg
-    )
+    out_part = MotionOperator(image, pw.RegionPartition(labels), cfg)(v)
     uniform = pw.RegionPartition(np.zeros_like(labels))
-    out_uniform = pw.apply_operator(pw.PiecewiseVelocity(v, uniform), image, cfg)
+    out_uniform = MotionOperator(image, uniform, cfg)(v)
     assert np.allclose(out_part, out_uniform, atol=1e-13)
 
 
@@ -307,38 +304,39 @@ def test_modes_coincide_when_one_label_covers_grid():
     outs = []
     for mode in ("hard", "soft", "global", "region_only"):
         cfg = pw.SolverConfig(alpha_in=2.5, alpha_out=2.5, beta=30.0, mode=mode)
-        outs.append(pw.apply_operator(pw.PiecewiseVelocity(v, part), image, cfg))
+        outs.append(MotionOperator(image, part, cfg)(v))
     for other in outs[1:]:
         assert np.allclose(outs[0], other, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# assemble_rhs
+# MotionOperator.rhs
 # ---------------------------------------------------------------------------
 
 
 def test_rhs_zero_when_frames_match():
     image, labels, _ = random_two_region_instance(RNG)
     part = pw.RegionPartition(labels)
-    assert np.all(pw.assemble_rhs(image, image, part) == 0.0)
+    assert np.all(MotionOperator(image, part, pw.SolverConfig()).rhs(image) == 0.0)
 
 
 def test_rhs_ramp_example():
     image = np.add.outer(np.zeros(8), np.arange(8.0))
     part = pw.RegionPartition(np.zeros((8, 8), np.int32))
-    b = pw.assemble_rhs(image, image + 0.1, part)
+    b = MotionOperator(image, part, pw.SolverConfig()).rhs(image + 0.1)
     assert np.allclose(b[..., 0], -0.1)
     assert np.allclose(b[..., 1], 0.0)
 
 
-def test_rhs_matches_independent_recomputation():
+@pytest.mark.parametrize("mode", pw.MODES)
+def test_rhs_matches_independent_recomputation(mode):
     rng = np.random.default_rng(17)
     for _ in range(10):
         image, labels, _ = random_two_region_instance(rng)
         next_image = rng.random(image.shape)
         part = pw.RegionPartition(labels)
-        got = pw.assemble_rhs(image, next_image, part)
-        want = dense_rhs(image, next_image, part, "hard")
+        got = MotionOperator(image, part, pw.SolverConfig(mode=mode)).rhs(next_image)
+        want = dense_rhs(image, next_image, part, mode)
         assert np.abs(got - want).max() <= 1e-13
 
 
@@ -368,7 +366,7 @@ def test_cg_matches_dense_minimum_norm_solve():
         )
         op = MotionOperator(image, part, cfg)
         next_image = image + 0.05 * rng.standard_normal(image.shape)
-        b = pw.assemble_rhs(image, next_image, part)
+        b = op.rhs(next_image)
         res = pw.solve_cg(op, b, cfg)
         mat = dense_operator_matrix(image, part, cfg)
         want = np.linalg.pinv(mat, rcond=1e-12) @ b.reshape(-1)
@@ -407,8 +405,9 @@ def test_cg_flags_non_convergence_at_iteration_cap():
 def test_cg_raises_on_non_finite():
     cfg = pw.SolverConfig(cg_max_iter=10)
 
-    def bad_operator(v):
-        return np.full_like(v, np.nan)
+    def bad_operator(v, out):
+        out.fill(np.nan)
+        return out
 
     with pytest.raises(NumericalError, match="iteration 1"):
         pw.solve_cg(bad_operator, np.ones((3, 3, 2)), cfg)

@@ -1,10 +1,12 @@
 """Transport, warping, and the incremental tracking loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import pwflow as pw
-from pwflow.errors import RegionVanishedError, TrackAborted
+from pwflow.errors import GridShapeError, RegionVanishedError, TrackAborted
 from pwflow.tracker import region_symmetric_difference
 
 
@@ -256,6 +258,25 @@ def test_evolve_raises_when_structure_vanishes():
             current = pw.evolve_pair(frames[i], frames[i + 1], current, cfg).final_region
     assert info.value.label == 1
     assert info.value.iteration >= 1
+
+
+def test_vanishing_on_a_reinit_iteration_is_reported_as_vanished():
+    # with reinit on every iteration the vanished level set reaches the reinit
+    # step before the label check
+    frames, region, cfg = vanishing_scenario()
+    cfg = dataclasses.replace(cfg, reinit_every=1)
+    with pytest.raises(TrackAborted) as info:
+        pw.track_sequence(frames, region, cfg)
+    assert isinstance(info.value.cause, RegionVanishedError)
+    assert info.value.cause.label == 1
+
+
+def test_track_sequence_passes_input_errors_through():
+    frames, _, cfg = vanishing_scenario()
+    labels = np.zeros((40, 48), np.int32)
+    labels[10:20, 10:20] = 1
+    with pytest.raises(GridShapeError):
+        pw.track_sequence(frames, pw.RegionPartition(labels), cfg)
 
 
 def test_track_sequence_identical_frames_keeps_region():
