@@ -34,7 +34,8 @@ from .errors import (
     TrackAborted,
 )
 from .flow import MODES, SolverConfig, solve_infinitesimal
-from .grid import RegionPartition, identity_map, signed_distance
+# signed_distance is unused here; bench/tracing.py wraps it under this name
+from .grid import RegionPartition, identity_map, signed_distance  # noqa: F401
 from .metrics import (
     apd,
     contours_from_mask,
@@ -345,10 +346,7 @@ def run_synth(values: dict, out_dir: Path) -> list:
 
 def run_flow(values: dict, image0, image1, mask, out_dir: Path) -> list:
     frame0, frame1 = _load_frames([image0, image1])
-    labels = _load_mask(mask, frame0.shape)
-    fg = labels > 0
-    psi = signed_distance(fg) if 0 < fg.sum() < fg.size else None
-    partition = RegionPartition(labels, psi=psi)
+    partition = RegionPartition(_load_mask(mask, frame0.shape))
     cfg = _solver_config(values)
     result = solve_infinitesimal(frame0, frame1, partition, cfg)
 

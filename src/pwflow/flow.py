@@ -253,8 +253,9 @@ class MotionOperator:
 
     One application is then a few whole-array passes: an edge term is a
     difference of two shifted views of the flat field, and the coupling is
-    scattered in two groups (horizontal pairs, then vertical ones), within
-    which no pixel repeats, so plain fancy-index updates are exact.
+    scattered in two groups, the partition's horizontal pairs and then its
+    vertical ones (it lists them in that order), within which no pixel
+    repeats, so plain fancy-index updates are exact.
 
     The operator is the one home of the discrete problem: :meth:`rhs`
     builds the right-hand side from the same ``gradient``, and
@@ -318,21 +319,18 @@ class MotionOperator:
             self.couple_b = np.zeros(self.pair_a.shape[0])
 
         # (pairs, normals, couple * normal per side, scatter groups), or None
-        # when no pair couples
+        # when no pair couples; the partition lists horizontal pairs first
         self._coupling = None
         if cfg.mode in ("hard", "soft") and self.pair_a.shape[0]:
             pa, pb = self.pair_a, self.pair_b
-            horiz = pa // w == pb // w
-            order = np.argsort(~horiz, kind="stable")
-            k = int(horiz.sum())
-            pa, pb = pa[order], pb[order]
-            normals = partition.normals[order]
+            k = int(np.count_nonzero(pa // w == pb // w))
+            normals = partition.normals
             self._coupling = (
                 pa,
                 pb,
                 normals,
-                self.couple_a[order, None] * normals,
-                self.couple_b[order, None] * normals,
+                self.couple_a[:, None] * normals,
+                self.couple_b[:, None] * normals,
                 ((pa[:k], pb[:k], slice(0, k)), (pa[k:], pb[k:], slice(k, None))),
             )
 

@@ -293,15 +293,19 @@ def _interface_pairs(labels: np.ndarray):
 class RegionPartition:
     """Pixel labels plus the derived interface-pair list and unit normals.
 
-    Interface pairs are 4-adjacent pixel pairs with differing labels; each
-    appears exactly once, ordered with the left/top pixel first.  Normals
-    are derived from a level-set function when one is supplied (computed at
-    construction, so the partition keeps no reference to the caller's
-    array), otherwise from the signed distance of the structure side of each
-    pair, computed on the first read of :attr:`normals`.
+    Interface pairs are 4-adjacent pixel pairs with differing labels, each
+    listed once with the left/top pixel first: all horizontal pairs in
+    row-major order, then all vertical ones.
+
+    A pair's normal is the gradient of its structure side's level set (the
+    lower positive label where two structures meet).  ``level_sets`` maps a
+    structure label to its level set (negative inside); a structure without
+    one uses its mask's :func:`signed_distance`.  Given level sets are read
+    at construction, so no caller array is kept; otherwise the normals are
+    built on the first read of :attr:`normals`.
     """
 
-    def __init__(self, labels, psi=None):
+    def __init__(self, labels, level_sets=None):
         labels = np.ascontiguousarray(labels)
         if labels.ndim != 2:
             raise ValueError("labels must be a 2D raster")
@@ -318,16 +322,14 @@ class RegionPartition:
         self.label_a = flat[pa]
         self.label_b = flat[pb]
         self._normals = None
-        if psi is not None:
-            psi = np.asarray(psi, dtype=np.float64)
-            require_same_shape(self.labels, psi)
-            self._normals = normals_from_levelset(psi, self.pairs)
+        if level_sets is not None:
+            self._normals = self._structure_normals(level_sets)
 
     @property
     def normals(self) -> np.ndarray:
         """Unit interface normals, one row per pair."""
         if self._normals is None:
-            self._normals = self._structure_normals()
+            self._normals = self._structure_normals({})
         return self._normals
 
     @property
@@ -343,24 +345,19 @@ class RegionPartition:
         present = np.unique(self.labels)
         return [int(v) for v in present if v > 0]
 
-    def region_mask(self, label: int) -> np.ndarray:
-        return self.labels == label
-
     def area(self, label: int) -> int:
         return int((self.labels == label).sum())
 
-    def signed_distance(self, label: int) -> np.ndarray:
-        return signed_distance(self.labels == label)
-
-    def _structure_normals(self) -> np.ndarray:
-        # No level set supplied: use the structure side's own signed distance,
-        # choosing the lower positive label when two structures meet.
+    def _structure_normals(self, level_sets: dict) -> np.ndarray:
+        require_same_shape(self.labels, *level_sets.values())
         la = self.label_a
         lb = self.label_b
         side = np.where(la == 0, lb, np.where(lb == 0, la, np.minimum(la, lb)))
         normals = np.zeros((self.num_pairs, 2), dtype=np.float64)
         for lab in np.unique(side):
             sel = side == lab
-            psi_lab = signed_distance(self.labels == lab)
-            normals[sel] = normals_from_levelset(psi_lab, self.pairs[sel])
+            psi = level_sets.get(int(lab))
+            if psi is None:
+                psi = signed_distance(self.labels == lab)
+            normals[sel] = normals_from_levelset(psi, self.pairs[sel])
         return normals

@@ -14,7 +14,8 @@ from .flow import (
     _ghost_coefficients,
     _region_alphas,
 )
-from .grid import require_same_shape, signed_distance
+# signed_distance is unused here; bench/tracing.py wraps it under this name
+from .grid import require_same_shape, signed_distance  # noqa: F401
 
 __all__ = [
     "apd",
@@ -165,8 +166,13 @@ def _stitch_segments(segments) -> list:
 
 
 def contours_from_mask(mask) -> list:
-    """Contours of a binary mask via its signed distance function."""
-    return contours_from_levelset(signed_distance(mask))
+    """Contours of a binary mask, ``[]`` when it is empty or full.
+
+    Marching squares reads only pixels with an opposite-label 4-neighbour,
+    whose signed distance is exactly -0.5 or 0.5: those two values suffice.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    return contours_from_levelset(np.where(mask, -0.5, 0.5))
 
 
 def _loops(obj) -> list:

@@ -244,19 +244,15 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
     struct_labels = region.structure_labels
     if not struct_labels:
         raise ValueError("initial region has no structure labels")
-    for lab in struct_labels:
-        if region.area(lab) == 0:
-            raise RegionVanishedError(lab, 0)
 
     h, w = image0.shape
     psis = {lab: signed_distance(region.labels == lab) for lab in struct_labels}
     backward_map = identity_map(h, w)
     current = image0
-    # labels and union level set of the current psis, carried from each
-    # iteration's end into the next partition and the final one
+    # labels of the current psis, carried from each iteration's end into the
+    # next partition and the final one
     labels = _compose_labels(psis, (h, w))
-    union = _union_psi(psis)
-    union_prev = union
+    union_prev = _union_psi(psis)
 
     residual_trace = [float(np.abs(current - image1).mean())]
     diagnostics = []
@@ -266,7 +262,7 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
 
     for it in range(1, cfg.max_inner_iters + 1):
         iterations = it
-        partition = RegionPartition(labels, psi=union)
+        partition = RegionPartition(labels, level_sets=psis)
         solve = solve_infinitesimal(current, image1, partition, cfg.solver)
         v = solve.velocity.field
 
@@ -282,14 +278,12 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
         # the convergence measure compares level sets before the reinit step
         union_now = _union_psi(psis)
 
-        union = union_now
         if it % cfg.reinit_every == 0:
             for lab in struct_labels:
                 # a level set with no pixel inside has nothing to reinitialise
                 if not np.any(psis[lab] <= 0.0):
                     raise RegionVanishedError(lab, it)
                 psis[lab] = reinitialize_signed_distance(psis[lab])
-            union = _union_psi(psis)
 
         current = warp_image(image0, backward_map)
         labels = _compose_labels(psis, (h, w))
@@ -323,8 +317,8 @@ def evolve_pair(image0, image1, region: RegionPartition, cfg: TrackConfig) -> Tr
             streak = 0
 
     return TrackResult(
-        final_region=RegionPartition(labels, psi=union),
-        psi_final=union,
+        final_region=RegionPartition(labels, level_sets=psis),
+        psi_final=_union_psi(psis),
         backward_map=backward_map,
         iterations_used=iterations,
         converged=converged,

@@ -97,8 +97,7 @@ def _interface_test_pair():
         texture_smoothing=2.0,
     )
     frames, _, regions = pw.generate(spec)
-    psi = pw.signed_distance(regions[0].labels == 1)
-    part = pw.RegionPartition(regions[0].labels, psi=psi)
+    part = pw.RegionPartition(regions[0].labels)
     return frames, part
 
 
@@ -127,8 +126,7 @@ def test_criterion_4_soft_interface_residual_decreases_with_penalty():
         texture_smoothing=2.0,
     )
     frames, _, regions = pw.generate(spec)
-    psi = pw.signed_distance(regions[0].labels == 1)
-    part = pw.RegionPartition(regions[0].labels, psi=psi)
+    part = pw.RegionPartition(regions[0].labels)
     jumps = []
     max_v = 0.0
     for beta in (10.0, 100.0, 1000.0, 1e4):

@@ -478,8 +478,7 @@ def test_counter_rotation_tangential_jump_dominates_normal_jump():
         texture_smoothing=2.0,
     )
     frames, _, regions = pw.generate(spec)
-    psi = pw.signed_distance(regions[0].labels == 1)
-    part = pw.RegionPartition(regions[0].labels, psi=psi)
+    part = pw.RegionPartition(regions[0].labels)
     cfg = pw.SolverConfig(alpha_in=3.0, alpha_out=3.0, mode="hard")
     res = pw.solve_infinitesimal(frames[0], frames[1], part, cfg)
     _, tan_mean = pw.tangential_jump(res.velocity, cfg)

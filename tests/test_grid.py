@@ -175,7 +175,7 @@ def test_normals_circle_close_to_radial():
     r = np.sqrt((xx - 32.0) ** 2 + (yy - 32.0) ** 2)
     psi = r - 10.0  # analytic level set
     labels = (psi <= 0).astype(np.int32)
-    part = pw.RegionPartition(labels, psi=psi)
+    part = pw.RegionPartition(labels, level_sets={1: psi})
     mids_x = ((part.pair_a % n_grid) + (part.pair_b % n_grid)) / 2.0 - 32.0
     mids_y = ((part.pair_a // n_grid) + (part.pair_b // n_grid)) / 2.0 - 32.0
     radial = np.stack([mids_x, mids_y], axis=1)
@@ -195,6 +195,14 @@ def test_normals_flat_levelset_falls_back_to_pair_axis():
     assert np.allclose(n[:, 1], 0.0)
 
 
+def test_partition_lists_horizontal_pairs_before_vertical_ones():
+    labels = np.zeros((3, 4), np.int32)
+    labels[1, 1:3] = 1
+    part = pw.RegionPartition(labels)
+    # left/right neighbours row by row, then top/bottom neighbours row by row
+    assert part.pairs.tolist() == [[4, 5], [6, 7], [1, 5], [2, 6], [5, 9], [6, 10]]
+
+
 def test_partition_normals_without_psi_come_from_structure_signed_distance():
     mask = disc_mask(32, 16, 16, 7)
     part = pw.RegionPartition(mask.astype(np.int32))
@@ -203,10 +211,27 @@ def test_partition_normals_without_psi_come_from_structure_signed_distance():
     assert part.normals is part.normals  # computed once, on first read
 
 
+def test_partition_normals_use_given_level_sets_per_structure_side():
+    # two touching squares; only structure 2 gets a level set, a tilted plane
+    labels = np.zeros((24, 24), np.int32)
+    labels[6:18, 4:12] = 1
+    labels[6:18, 12:20] = 2
+    yy, xx = np.mgrid[0:24, 0:24]
+    part = pw.RegionPartition(labels, level_sets={2: (xx + yy) - 30.0})
+    lo = np.minimum(part.label_a, part.label_b)
+    hi = np.maximum(part.label_a, part.label_b)
+    side2 = (lo == 0) & (hi == 2)
+    assert np.allclose(part.normals[side2], np.sqrt(0.5))
+    # 1|0 and 1|2 pairs take structure 1's signed distance, as with no level sets
+    lazy = pw.RegionPartition(labels).normals
+    assert np.any((lo == 1) & (hi == 2))
+    assert np.array_equal(part.normals[~side2], lazy[~side2])
+
+
 def test_partition_normals_from_psi_do_not_alias_the_level_set():
     mask = disc_mask(32, 16, 16, 7)
     psi = pw.signed_distance(mask)
-    part = pw.RegionPartition(mask.astype(np.int32), psi=psi)
+    part = pw.RegionPartition(mask.astype(np.int32), level_sets={1: psi})
     before = part.normals.copy()
     psi[:] = 0.0
     assert np.array_equal(part.normals, before)
@@ -215,7 +240,7 @@ def test_partition_normals_from_psi_do_not_alias_the_level_set():
 def test_normals_unit_length():
     mask = disc_mask(32, 16, 16, 7)
     psi = pw.signed_distance(mask)
-    part = pw.RegionPartition(mask.astype(np.int32), psi=psi)
+    part = pw.RegionPartition(mask.astype(np.int32), level_sets={1: psi})
     assert np.allclose(np.linalg.norm(part.normals, axis=1), 1.0, atol=1e-9)
 
 

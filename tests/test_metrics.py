@@ -83,6 +83,14 @@ def test_contours_from_mask_match_levelset_route():
     assert len(loops) == 1
     radii = np.sqrt(((loops[0] - 24.0) ** 2).sum(axis=1))
     assert np.abs(radii - 9.0).max() <= 0.8
+    rng = np.random.default_rng(8)
+    masks = [mask] + [rng.random((12, 15)) < p for p in (0.2, 0.5, 0.8) * 20]
+    for m in masks:
+        if 0 < m.sum() < m.size:
+            got = pw.contours_from_mask(m)
+            want = pw.contours_from_levelset(pw.signed_distance(m))
+            assert len(got) == len(want)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_contours_multiple_components():
@@ -292,8 +300,7 @@ def test_normal_jump_independent_region_solves_exceed_hard(tmp_path):
         texture_smoothing=2.0,
     )
     frames, _, regions = pw.generate(spec)
-    psi = pw.signed_distance(regions[0].labels == 1)
-    part = pw.RegionPartition(regions[0].labels, psi=psi)
+    part = pw.RegionPartition(regions[0].labels)
     hard_cfg = pw.SolverConfig(alpha_in=3.0, alpha_out=3.0, mode="hard")
     neumann_cfg = pw.SolverConfig(alpha_in=3.0, alpha_out=3.0, mode="region_only")
     hard = pw.solve_infinitesimal(frames[0], frames[1], part, hard_cfg)

@@ -323,6 +323,26 @@ def test_multi_structure_tracking_keeps_both_labels():
     assert pw.dice(got1.astype(np.int32), want1.astype(np.int32)) >= 0.9
 
 
+def test_touching_structures_take_normals_from_the_inner_level_set():
+    # a disc inside a ring: the union of the two level sets has a ridge along
+    # their shared interface, so the 1|2 normals must come from the disc's own
+    # level set to point radially
+    n, c = 64, 32.0
+    yy, xx = np.mgrid[0:n, 0:n]
+    r2 = (xx - c) ** 2 + (yy - c) ** 2
+    labels = np.where(r2 <= 12 * 12, 1, np.where(r2 <= 20 * 20, 2, 0))
+    tex = pw.texture(4, (n, n), 2.0)
+    cfg = pw.TrackConfig(solver=small_solver())
+    part = pw.evolve_pair(tex, tex, pw.RegionPartition(labels), cfg).final_region
+    sel = np.minimum(part.label_a, part.label_b) == 1
+    a, b = part.pair_a[sel], part.pair_b[sel]
+    radial = np.stack([(a % n + b % n) / 2.0 - c, (a // n + b // n) / 2.0 - c], axis=1)
+    radial /= np.linalg.norm(radial, axis=1, keepdims=True)
+    cos = np.abs((part.normals[sel] * radial).sum(axis=1))
+    assert sel.any() and np.all(part.label_a[sel] + part.label_b[sel] == 3)
+    assert cos.min() >= 0.9
+
+
 def test_region_symmetric_difference_subpixel():
     psi_a = np.full((8, 8), 3.0)
     psi_a[4, 4] = -0.25
